@@ -121,10 +121,10 @@ main(int argc, char **argv)
     cfg.smart.corosPerThread = coros + 1;
     RunCapture *cap = cli.nextCapture("elasticity");
     if (cap != nullptr) {
-        cfg.traceSampleNs = sim::usec(500);
         cli.configureSpans(cfg);
         cli.configureTimeline(cfg);
     }
+    configureCapture(cfg, cap);
     Testbed tb(cfg);
     SmartRuntime &rt = tb.compute(0);
 

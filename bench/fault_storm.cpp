@@ -140,10 +140,9 @@ main(int argc, char **argv)
     cli.configureCache(cfg.smart);
     cfg.smart.corosPerThread = coros;
     RunCapture *cap = cli.nextCapture("storm");
-    if (cap != nullptr) {
-        cfg.traceSampleNs = sim::usec(500);
+    if (cap != nullptr)
         cli.configureSpans(cfg);
-    }
+    configureCapture(cfg, cap);
     Testbed tb(cfg);
 
     // The fault schedule: mb1 crashes at 12 ms and restarts at 20 ms
@@ -172,12 +171,12 @@ main(int argc, char **argv)
         {"post", sim::msec(24), sim::msec(34)},
     };
 
-    tb.sim().runUntil(phases.front().start); // warmup
+    tb.runUntil(phases.front().start); // warmup
     for (Phase &ph : phases) {
-        tb.sim().runUntil(ph.start); // settle gap between phases
+        tb.runUntil(ph.start); // settle gap between phases
         std::uint64_t ops0 = rt.appOps.value();
         std::uint64_t failed0 = sh.failedOps;
-        tb.sim().runUntil(ph.end);
+        tb.runUntil(ph.end);
         ph.ops = rt.appOps.value() - ops0;
         ph.failed = sh.failedOps - failed0;
     }

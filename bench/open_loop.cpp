@@ -84,10 +84,10 @@ makeRig(const std::string &app, const Shape &sh, BenchCli &cli,
     cfg.smart.corosPerThread = sh.coros;
     cli.configureShards(cfg);
     if (cap != nullptr) {
-        cfg.traceSampleNs = sim::usec(500);
         cli.configureSpans(cfg);
         cli.configureTimeline(cfg);
     }
+    configureCapture(cfg, cap);
     rig.tb = std::make_unique<Testbed>(cfg);
     Testbed &tb = *rig.tb;
 
@@ -531,10 +531,10 @@ main(int argc, char **argv)
         // applied here.
         RunCapture *cap = cli.nextCapture("churn/0.9x");
         if (cap != nullptr) {
-            cfg.traceSampleNs = sim::usec(500);
             cli.configureSpans(cfg);
             cli.configureTimeline(cfg);
         }
+        configureCapture(cfg, cap);
         Testbed tb(cfg);
         SmartRuntime &rt = tb.compute(0);
 

@@ -81,10 +81,9 @@ run(bool throttle, Time interval, Time window, std::uint64_t seed,
     cfg.smart = throttle ? presets::workReqThrot() : presets::thdResAlloc();
     cfg.smart.corosPerThread = 1;
     cfg.smart.withBenchTimescale();
-    if (cap != nullptr) {
-        cfg.traceSampleNs = sim::usec(500);
+    if (cap != nullptr)
         cfg.spanSampleEvery = g_span_every;
-    }
+    configureCapture(cfg, cap);
 
     Testbed tb(cfg);
     Shared shared;
@@ -97,9 +96,9 @@ run(bool throttle, Time interval, Time window, std::uint64_t seed,
         controller(tb.compute(0).sim(), shared, interval, seed));
 
     Time warmup = sim::msec(8);
-    tb.sim().runUntil(warmup);
+    tb.runUntil(warmup);
     std::uint64_t wrs0 = tb.compute(0).rnic().perf().wrsCompleted.value();
-    tb.sim().runUntil(warmup + window);
+    tb.runUntil(warmup + window);
     std::uint64_t wrs =
         tb.compute(0).rnic().perf().wrsCompleted.value() - wrs0;
     captureRun(tb, cap);

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate a smart-bench-report/v1 JSON file emitted by `--json`.
+"""Validate a smart-bench-report/v2 JSON file emitted by `--json`.
 
 Usage:
     check_bench_json.py REPORT.json
@@ -23,7 +23,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-SCHEMA = "smart-bench-report/v1"
+SCHEMA = "smart-bench-report/v2"
 
 # DES-kernel microbenches drive the event queue directly: they have no
 # SMART threads or controller, so the thread-metrics / controller-timeline
@@ -96,24 +96,16 @@ def validate(report):
         if spans is not None:
             validate_spans(run["label"], spans)
 
+        check("trace" not in run,
+              f"run {run['label']}: leftover v1 'trace' block (controller "
+              f"timelines live in 'timeseries')")
         ts = run.get("timeseries")
-        if ts is not None:
-            validate_timeseries(run["label"], ts)
-
-        trace = run.get("trace")
-        if trace is None:
+        if ts is None:
             continue
-        t_ns = trace.get("t_ns")
-        check(isinstance(t_ns, list),
-              f"run {run['label']}: trace missing t_ns")
-        series = {s["name"]: s for s in trace.get("series", [])}
-        for s in series.values():
-            check(len(s["values"]) == len(t_ns),
-                  f"run {run['label']}: series {s['name']} length "
-                  f"{len(s['values'])} != {len(t_ns)} samples")
-        if ("smart.ctrl.credit_cmax" in series
-                and "smart.ctrl.tmax_cycles" in series
-                and len(t_ns) >= 5):
+        validate_timeseries(run["label"], ts)
+        series = {s["name"] for s in ts["series"]}
+        if ({"smart.ctrl.credit_cmax", "smart.ctrl.tmax_cycles"} <= series
+                and len(ts["t_ns"]) >= 5):
             saw_ctrl_timeline = True
 
     if report["bench"] not in KERNEL_BENCHES:
@@ -180,10 +172,10 @@ TS_ANNOTATION_KINDS = {"fault", "membership", "degradation", "cache", "slo"}
 
 
 def validate_timeseries(label, ts):
-    """Windowed time-series blocks (--ts-window) must be self-consistent:
-    a positive window, a strictly increasing sample axis, every series'
-    points anchored at a valid start window, and annotations in
-    deterministic (time, kind, target, detail) order."""
+    """Windowed time-series blocks (every captured run) must be
+    self-consistent: a positive window, a strictly increasing sample axis,
+    every series' points anchored at a valid start window, and annotations
+    in deterministic (time, kind, target, detail) order."""
     check(isinstance(ts, dict),
           f"run {label}: timeseries block must be an object")
     for key in ("window_ns", "t_ns", "series", "annotations"):
@@ -479,7 +471,7 @@ def validate_elasticity(report):
     ratio = float(row[cols["post_over_pre"]])
     check(ratio >= 0.9, f"elasticity post/pre ratio {ratio} < 0.9")
 
-    # Windowed recovery gate (runs with --ts-window): throughput must
+    # Windowed recovery gate (every captured run): throughput must
     # re-enter the 90% band within 8 windows of the drain annotation —
     # a time-resolved gate the end-of-run ratio above cannot express.
     for run in report["runs"]:
@@ -580,7 +572,7 @@ def validate_open_loop(report):
     check(saw_tenant_metrics,
           "no run carries smart.tenant.offered + smart.tenant.latency_ns")
 
-    # ---- time-series gates (runs with --ts-window) ----
+    # ---- time-series gates (every captured run) ----
     ts_runs = {run["label"]: run["timeseries"]
                for run in report["runs"] if run.get("timeseries")}
     if ts_runs:

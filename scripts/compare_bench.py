@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regression gate: compare a fresh smart-bench-report/v1 JSON against a
+"""Regression gate: compare a fresh smart-bench-report/v2 JSON against a
 committed baseline from bench/baselines/.
 
 Usage:
@@ -52,8 +52,8 @@ def fail(msg):
 
 def load(path):
     report = json.loads(Path(path).read_text())
-    if report.get("schema") != "smart-bench-report/v1":
-        print(f"compare_bench: {path}: not a smart-bench-report/v1 file",
+    if report.get("schema") != "smart-bench-report/v2":
+        print(f"compare_bench: {path}: not a smart-bench-report/v2 file",
               file=sys.stderr)
         sys.exit(2)
     return report

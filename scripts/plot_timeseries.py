@@ -5,7 +5,7 @@ Usage:
     plot_timeseries.py REPORT.json [--run LABEL] [--series NAME ...]
                        [--csv OUT.csv] [--png OUT.png] [--list]
 
-Reads a smart-bench-report/v1 JSON written with --ts-window and:
+Reads a smart-bench-report/v2 JSON (written with --json) and:
   --list           print every run label and series name, then exit
   --csv OUT.csv    export the selected run's series in long format
                    (same layout as the C++ side's *_timeseries.csv)
@@ -39,7 +39,7 @@ def load_runs(path):
             if r.get("timeseries")}
     if not runs:
         fail(f"{path}: no run carries a timeseries block "
-             "(was the bench run with --ts-window?)")
+             "(was the bench run with --json?)")
     return report, runs
 
 

@@ -6,6 +6,7 @@
 #include "harness/bench_cli.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -26,16 +27,14 @@ usage(const std::string &bench, int exit_code)
     std::ostream &os = exit_code == 0 ? std::cout : std::cerr;
     os << "usage: " << bench
        << " [--quick] [--json PATH] [--out-dir DIR] [--seed N] "
-          "[--trace] [--trace-spans[=N]] [--flame PATH] [--perf]\n"
+          "[--trace-spans[=N]] [--flame PATH] [--perf]\n"
           "  [--cache-mb N] [--cache-policy clock|fifo] [--no-cache] "
           "[--shards N]\n"
           "  --quick        reduced sweep for CI / smoke runs\n"
-          "  --json PATH    write a smart-bench-report/v1 JSON report\n"
+          "  --json PATH    write a smart-bench-report/v2 JSON report\n"
           "  --out-dir DIR  directory for CSV/JSON outputs (default .)\n"
-          "  --seed N       perturb workload RNG seeds (recorded in the "
-          "JSON report)\n"
-          "  --trace        capture controller timelines (implies a "
-          "JSON report)\n"
+          "  --seed N       perturb workload RNG seeds (decimal; recorded "
+          "in the JSON report)\n"
           "  --trace-spans[=N]  record per-op latency spans, sampling "
           "every Nth op (default 1; implies a JSON report and writes a "
           "Perfetto trace per captured run)\n"
@@ -57,14 +56,39 @@ usage(const std::string &bench, int exit_code)
     std::exit(exit_code);
 }
 
+/**
+ * Parse the plain decimal number (digits only, <= @p max) that starts
+ * @p text; anything else exits 2 with usage. Without @p suffix_out the
+ * whole text must be that number; with it, the rest is returned there.
+ */
+std::uint64_t
+parseDecimal(const std::string &bench, const char *flag,
+             const std::string &text, std::uint64_t max,
+             std::string *suffix_out = nullptr)
+{
+    std::uint64_t v = 0;
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    bool ok = ec == std::errc() && ptr != text.data() && v <= max &&
+              (ptr == end || suffix_out != nullptr);
+    if (!ok) {
+        std::cerr << bench << ": " << flag << " '" << text
+                  << "' is not a decimal number <= " << max << "\n";
+        usage(bench, 2);
+    }
+    if (suffix_out != nullptr)
+        *suffix_out = std::string(ptr, end);
+    return v;
+}
+
 /** Parse a virtual-time value: plain number = ns, us/ms suffixes. */
 sim::Time
 parseTimeNs(const std::string &bench, const char *flag,
             const std::string &text)
 {
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(text.c_str(), &end, 0);
-    std::string suffix = end != nullptr ? std::string(end) : std::string();
+    std::string suffix;
+    std::uint64_t v =
+        parseDecimal(bench, flag, text, UINT64_MAX / 1000'000, &suffix);
     sim::Time ns = static_cast<sim::Time>(v);
     if (suffix == "us") {
         ns = sim::usec(v);
@@ -104,7 +128,6 @@ fileSafe(const std::string &label)
 BenchCli::BenchCli(int argc, char **argv, std::string bench_name)
     : benchName_(std::move(bench_name))
 {
-    bool trace = false;
     auto value = [&](int &i, const char *flag) -> std::string {
         if (i + 1 >= argc) {
             std::cerr << benchName_ << ": " << flag
@@ -122,14 +145,14 @@ BenchCli::BenchCli(int argc, char **argv, std::string bench_name)
         } else if (arg == "--out-dir") {
             outDir_ = value(i, "--out-dir");
         } else if (arg == "--seed") {
-            seed_ = std::strtoull(value(i, "--seed").c_str(), nullptr, 0);
-        } else if (arg == "--trace") {
-            trace = true;
+            seed_ = parseDecimal(benchName_, "--seed", value(i, "--seed"),
+                                 UINT64_MAX);
         } else if (arg == "--trace-spans") {
             spanSampleEvery_ = 1;
         } else if (arg.rfind("--trace-spans=", 0) == 0) {
-            spanSampleEvery_ = static_cast<std::uint32_t>(std::strtoul(
-                arg.c_str() + sizeof("--trace-spans=") - 1, nullptr, 0));
+            spanSampleEvery_ = static_cast<std::uint32_t>(parseDecimal(
+                benchName_, "--trace-spans=N",
+                arg.substr(sizeof("--trace-spans=") - 1), UINT32_MAX));
             if (spanSampleEvery_ == 0) {
                 std::cerr << benchName_
                           << ": --trace-spans=N needs N >= 1\n";
@@ -138,8 +161,8 @@ BenchCli::BenchCli(int argc, char **argv, std::string bench_name)
         } else if (arg == "--flame") {
             flamePath_ = value(i, "--flame");
         } else if (arg == "--cache-mb") {
-            cacheMb_ = static_cast<int>(
-                std::strtoul(value(i, "--cache-mb").c_str(), nullptr, 0));
+            cacheMb_ = static_cast<int>(parseDecimal(
+                benchName_, "--cache-mb", value(i, "--cache-mb"), INT32_MAX));
         } else if (arg == "--cache-policy") {
             std::string p = value(i, "--cache-policy");
             if (p == "clock") {
@@ -155,8 +178,8 @@ BenchCli::BenchCli(int argc, char **argv, std::string bench_name)
         } else if (arg == "--no-cache") {
             noCache_ = true;
         } else if (arg == "--shards") {
-            shards_ = static_cast<std::uint32_t>(
-                std::strtoul(value(i, "--shards").c_str(), nullptr, 0));
+            shards_ = static_cast<std::uint32_t>(parseDecimal(
+                benchName_, "--shards", value(i, "--shards"), UINT32_MAX));
             if (shards_ == 0) {
                 std::cerr << benchName_ << ": --shards N needs N >= 1\n";
                 usage(benchName_, 2);
@@ -179,7 +202,7 @@ BenchCli::BenchCli(int argc, char **argv, std::string bench_name)
         outDir_ = ".";
     if (!flamePath_.empty() && spanSampleEvery_ == 0)
         spanSampleEvery_ = 1;
-    if ((trace || spanSampleEvery_ > 0 || tsWindowNs_ > 0) &&
+    if ((spanSampleEvery_ > 0 || tsWindowNs_ > 0) &&
         jsonPath_.empty())
         jsonPath_ = outDir_ + "/" + benchName_ + "_report.json";
 
@@ -270,9 +293,12 @@ BenchCli::finish()
     int rc = 0;
     std::string folded; // all captures, label-prefixed, one flame file
     std::string tsAll;  // all captures' time-series CSV, one header
+    // Every captured run samples a time series into the report; the
+    // per-run CSV and trace files are written only when asked for.
+    const bool tsFiles = tsWindowNs_ > 0;
     for (const RunCapture &cap : captures_) {
         reporter_->addRun(cap);
-        if (!cap.timeseriesCsv.empty()) {
+        if (tsFiles && !cap.timeseriesCsv.empty()) {
             std::string path = outDir_ + "/" + benchName_ + "_" +
                                fileSafe(cap.label) + "_timeseries.csv";
             std::ofstream os(path);
@@ -295,7 +321,7 @@ BenchCli::finish()
                 }
             }
         }
-        if (!cap.spanTrace.empty()) {
+        if ((tsFiles || spanSampleEvery_ > 0) && !cap.spanTrace.empty()) {
             std::string path = outDir_ + "/" + benchName_ + "_" +
                                fileSafe(cap.label) + "_trace.json";
             std::ofstream os(path);

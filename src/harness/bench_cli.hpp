@@ -6,11 +6,13 @@
  *
  * Flags:
  *   --quick        reduced sweep (CI / smoke runs)
- *   --json PATH    write a smart-bench-report/v1 JSON report to PATH
+ *   --json PATH    write a smart-bench-report/v2 JSON report to PATH;
+ *                  every captured run carries its time series (window
+ *                  --ts-window, else kCaptureWindowNs)
  *   --out-dir DIR  directory for CSV/JSON outputs (default ".")
- *   --seed N       perturb every bench's workload RNG streams (recorded
- *                  in the JSON report; same seed => identical run)
- *   --trace        capture controller timelines (implies a JSON report)
+ *   --seed N       perturb every bench's workload RNG streams (plain
+ *                  decimal; recorded in the JSON report; same seed =>
+ *                  identical run)
  *   --trace-spans[=N]  record per-op spans, sampling every Nth op
  *                  (default every op; implies a JSON report; also writes
  *                  <out-dir>/<bench>_<label>_trace.json per captured run)

@@ -58,10 +58,9 @@ runBtBench(const BtBenchParams &params, RunCapture *capture)
     cfg.smart.corosPerThread = params.corosPerThread;
     cfg.smart.withBenchTimescale();
     cfg.shards = params.shards;
-    if (capture != nullptr) {
-        cfg.traceSampleNs = sim::usec(500);
+    configureCapture(cfg, capture);
+    if (capture != nullptr)
         cfg.spanSampleEvery = params.spanSampleEvery;
-    }
     Testbed tb(cfg);
 
     std::vector<memblade::MemoryBlade *> blades;
@@ -95,37 +94,21 @@ runBtBench(const BtBenchParams &params, RunCapture *capture)
     }
 
     tb.runUntil(params.warmupNs);
-    std::uint64_t ops0 = 0;
-    std::uint64_t wrs0 = 0;
-    for (std::uint32_t c = 0; c < tb.numComputeBlades(); ++c) {
-        ops0 += tb.compute(c).appOps.value();
-        wrs0 += tb.compute(c).rnic().perf().wrsCompleted.value();
-        tb.compute(c).opLatency.reset();
-    }
-
+    MeasureWindow win(tb);
     tb.runUntil(params.warmupNs + params.measureNs);
+    win.close();
 
     BtBenchResult res;
-    std::uint64_t ops = 0;
-    std::uint64_t wrs = 0;
     std::uint64_t spec_hits = 0;
     std::uint64_t spec_total = 0;
-    sim::LatencyHistogram lat;
-    for (std::uint32_t c = 0; c < tb.numComputeBlades(); ++c) {
-        ops += tb.compute(c).appOps.value();
-        wrs += tb.compute(c).rnic().perf().wrsCompleted.value();
-        lat.merge(tb.compute(c).opLatency);
-        spec_hits += clients[c]->specHits();
-        spec_total += clients[c]->specHits() + clients[c]->specMisses();
+    for (const auto &client : clients) {
+        spec_hits += client->specHits();
+        spec_total += client->specHits() + client->specMisses();
     }
-    ops -= ops0;
-    wrs -= wrs0;
-
-    double us = static_cast<double>(params.measureNs) / 1000.0;
-    res.mops = static_cast<double>(ops) / us;
-    res.rdmaMops = static_cast<double>(wrs) / us;
-    res.medianNs = static_cast<double>(lat.p50());
-    res.p99Ns = static_cast<double>(lat.p99());
+    res.mops = win.perUs("app.ops");
+    res.rdmaMops = win.perUs("rnic.wrs_completed");
+    res.medianNs = static_cast<double>(win.latency().p50());
+    res.p99Ns = static_cast<double>(win.latency().p99());
     res.specHitRate = spec_total
         ? static_cast<double>(spec_hits) / static_cast<double>(spec_total)
         : 0.0;

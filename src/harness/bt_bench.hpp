@@ -68,7 +68,7 @@ struct BtBenchResult
 /**
  * Run one B+Tree benchmark configuration.
  * @param capture when non-null, filled with the run's full metrics
- *        snapshot and trace (tracing is auto-enabled for the run).
+ *        snapshot and time series (sampled every kCaptureWindowNs).
  */
 BtBenchResult runBtBench(const BtBenchParams &params,
                          RunCapture *capture = nullptr);

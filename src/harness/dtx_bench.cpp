@@ -70,10 +70,9 @@ runDtxBench(const DtxBenchParams &params, RunCapture *capture)
     cfg.smart.corosPerThread = params.corosPerThread;
     cfg.smart.withBenchTimescale();
     cfg.shards = params.shards;
-    if (capture != nullptr) {
-        cfg.traceSampleNs = sim::usec(500);
+    configureCapture(cfg, capture);
+    if (capture != nullptr)
         cfg.spanSampleEvery = params.spanSampleEvery;
-    }
     Testbed tb(cfg);
 
     std::vector<memblade::MemoryBlade *> blades;
@@ -111,24 +110,19 @@ runDtxBench(const DtxBenchParams &params, RunCapture *capture)
     }
 
     tb.runUntil(params.warmupNs);
-    std::uint64_t ops0 = rt.appOps.value();
-    std::uint64_t aborts0 = rt.totalRetries.value();
-    std::uint64_t wrs0 = rt.rnic().perf().wrsCompleted.value();
-    rt.opLatency.reset();
-
+    MeasureWindow win(tb);
     tb.runUntil(params.warmupNs + params.measureNs);
+    win.close();
 
     DtxBenchResult res;
-    std::uint64_t ops = rt.appOps.value() - ops0;
-    std::uint64_t aborts = rt.totalRetries.value() - aborts0;
-    std::uint64_t wrs = rt.rnic().perf().wrsCompleted.value() - wrs0;
-    double us = static_cast<double>(params.measureNs) / 1000.0;
-    res.mtps = static_cast<double>(ops) / us;
-    res.rdmaMops = static_cast<double>(wrs) / us;
-    res.medianNs = static_cast<double>(rt.opLatency.p50());
-    res.p99Ns = static_cast<double>(rt.opLatency.p99());
-    res.abortRate =
-        ops ? static_cast<double>(aborts) / static_cast<double>(ops) : 0.0;
+    std::uint64_t ops = win.count("app.ops");
+    res.mtps = win.perUs("app.ops");
+    res.rdmaMops = win.perUs("rnic.wrs_completed");
+    res.medianNs = static_cast<double>(win.latency().p50());
+    res.p99Ns = static_cast<double>(win.latency().p99());
+    res.abortRate = ops ? static_cast<double>(win.count("app.retries")) /
+                              static_cast<double>(ops)
+                        : 0.0;
     captureRun(tb, capture);
     return res;
 }

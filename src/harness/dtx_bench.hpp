@@ -53,7 +53,7 @@ struct DtxBenchResult
 
 /**
  * @param capture when non-null, filled with the run's full metrics
- *        snapshot and trace (tracing is auto-enabled for the run).
+ *        snapshot and time series (sampled every kCaptureWindowNs).
  */
 DtxBenchResult runDtxBench(const DtxBenchParams &params,
                            RunCapture *capture = nullptr);

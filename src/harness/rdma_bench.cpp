@@ -62,8 +62,7 @@ runRdmaBench(const TestbedConfig &cfg, const RdmaBenchParams &params,
 {
     TestbedConfig tb_cfg = cfg;
     tb_cfg.bladeBytes = params.regionBytes;
-    if (capture != nullptr && tb_cfg.traceSampleNs == 0)
-        tb_cfg.traceSampleNs = sim::usec(500);
+    configureCapture(tb_cfg, capture);
     Testbed tb(tb_cfg);
 
     for (std::uint32_t c = 0; c < tb.numComputeBlades(); ++c) {
@@ -76,58 +75,36 @@ runRdmaBench(const TestbedConfig &cfg, const RdmaBenchParams &params,
     }
 
     tb.runUntil(params.warmupNs);
-
-    // Snapshot post-warmup state.
-    std::uint64_t wrs0 = 0;
-    std::uint64_t dram0 = 0;
-    std::uint64_t rings0 = 0;
-    std::uint64_t db_wait0 = 0;
+    // The device cache hit ratios are windowed by resetting them.
     for (std::uint32_t c = 0; c < tb.numComputeBlades(); ++c) {
-        rnic::PerfCounters &perf = tb.compute(c).rnic().perf();
-        wrs0 += perf.wrsCompleted.value();
-        dram0 += perf.dramBytes.value();
-        rings0 += perf.doorbellRings.value();
-        db_wait0 += perf.doorbellWaitNs.value();
-        tb.compute(c).opLatency.reset();
         tb.compute(c).rnic().resetWqeStats();
         tb.compute(c).rnic().mttCache().resetStats();
     }
-
+    MeasureWindow win(tb);
     tb.runUntil(params.warmupNs + params.measureNs);
+    win.close();
 
     RdmaBenchResult res;
-    std::uint64_t wrs = 0;
-    std::uint64_t dram = 0;
-    std::uint64_t rings = 0;
-    std::uint64_t db_wait = 0;
-    sim::LatencyHistogram lat;
     double wqe_hits = 0;
     double mtt_hits = 0;
     for (std::uint32_t c = 0; c < tb.numComputeBlades(); ++c) {
-        rnic::PerfCounters &perf = tb.compute(c).rnic().perf();
-        wrs += perf.wrsCompleted.value();
-        dram += perf.dramBytes.value();
-        rings += perf.doorbellRings.value();
-        db_wait += perf.doorbellWaitNs.value();
-        lat.merge(tb.compute(c).opLatency);
         wqe_hits += tb.compute(c).rnic().wqeHitRatio();
         mtt_hits += tb.compute(c).rnic().mttCache().hitRatio();
     }
-    wrs -= wrs0;
-    dram -= dram0;
-    rings -= rings0;
-    db_wait -= db_wait0;
-
-    double us = static_cast<double>(params.measureNs) / 1000.0;
-    res.mops = static_cast<double>(wrs) / us;
+    std::uint64_t wrs = win.count("rnic.wrs_completed");
+    std::uint64_t rings = win.count("rnic.doorbell_rings");
+    res.mops = win.perUs("rnic.wrs_completed");
     res.dramBytesPerWr =
-        wrs ? static_cast<double>(dram) / static_cast<double>(wrs) : 0.0;
-    res.medianBatchNs = static_cast<double>(lat.p50());
-    res.p99BatchNs = static_cast<double>(lat.p99());
+        wrs ? static_cast<double>(win.count("rnic.dram_bytes")) /
+                  static_cast<double>(wrs)
+            : 0.0;
+    res.medianBatchNs = static_cast<double>(win.latency().p50());
+    res.p99BatchNs = static_cast<double>(win.latency().p99());
     res.wqeHitRatio = wqe_hits / tb.numComputeBlades();
     res.mttHitRatio = mtt_hits / tb.numComputeBlades();
     res.avgDoorbellWaitNs =
-        rings ? static_cast<double>(db_wait) / static_cast<double>(rings)
+        rings ? static_cast<double>(win.count("rnic.doorbell_wait_ns")) /
+                    static_cast<double>(rings)
               : 0.0;
     captureRun(tb, capture);
     return res;

@@ -47,7 +47,8 @@ struct RdmaBenchResult
  * client/server pair).
  *
  * @param capture when non-null, filled with the run's full metrics
- *        snapshot and trace (tracing is auto-enabled for the run).
+ *        snapshot and time series (window cfg.tsWindowNs, else
+ *        kCaptureWindowNs).
  */
 RdmaBenchResult runRdmaBench(const TestbedConfig &cfg,
                              const RdmaBenchParams &params,

@@ -38,8 +38,6 @@ Reporter::addRun(const RunCapture &cap)
     jr.set("label", Json(cap.label));
     jr.set("at_ns", Json(cap.metrics.at));
     jr.set("metrics", cap.metrics.toJson());
-    if (cap.trace.samples() > 0)
-        jr.set("trace", cap.trace.toJson());
     if (cap.spans.isObject())
         jr.set("spans", cap.spans);
     if (cap.timeseries.isObject())
@@ -51,7 +49,7 @@ Json
 Reporter::toJson() const
 {
     Json root = Json::object();
-    root.set("schema", Json("smart-bench-report/v1"));
+    root.set("schema", Json("smart-bench-report/v2"));
     root.set("bench", Json(bench_));
     root.set("quick", Json(quick_));
     root.set("seed", Json(seed_));

@@ -9,6 +9,7 @@
 #ifndef SMART_HARNESS_TESTBED_HPP
 #define SMART_HARNESS_TESTBED_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -22,7 +23,6 @@
 #include "sim/simulator.hpp"
 #include "sim/span.hpp"
 #include "sim/timeline.hpp"
-#include "sim/trace.hpp"
 #include "smart/smart_config.hpp"
 #include "smart/smart_runtime.hpp"
 
@@ -44,18 +44,10 @@ struct TestbedConfig
      * the wire propagation latency as lookahead (see sim/wire.hpp).
      * Clamped to the blade count; 1 (the default) is the classic
      * single-threaded engine. Seeded results are byte-identical at any
-     * value. Incompatible with the fault plane, the membership plane and
-     * the metrics tracer (those hold cross-blade state on one shard).
+     * value. Incompatible with the fault plane and the membership plane
+     * (those hold cross-blade state on one shard).
      */
     std::uint32_t shards = 1;
-
-    /**
-     * Virtual-time sampling cadence of the built-in tracer; 0 disables
-     * tracing entirely (no sampling coroutine is spawned).
-     */
-    sim::Time traceSampleNs = 0;
-    /** Hard cap on trace samples (bounds report size). */
-    std::size_t traceMaxSamples = 4096;
 
     /**
      * Span recording cadence: every Nth application op per coroutine is
@@ -113,24 +105,6 @@ class Testbed
             for (std::uint32_t s = 0; s < shards; ++s)
                 timeline_->attach(group_.shard(s));
         }
-        if (cfg.traceSampleNs > 0) {
-            // The tracer samples every blade's metrics from one shard;
-            // its constructor rejects grouped shards (always-on check).
-            // Metric timelines are a single-shard observability feature:
-            // on a sharded testbed they are skipped (the run itself is
-            // unaffected — counters still merge at snapshot time).
-            if (group_.size() > 1) {
-                std::fprintf(stderr,
-                             "Testbed: metric timelines disabled at "
-                             "shards=%u (single-shard feature)\n",
-                             static_cast<unsigned>(group_.size()));
-            } else {
-                tracer_ =
-                    std::make_unique<sim::Tracer>(sim(), sim().metrics());
-                tracer_->start(cfg.traceSampleNs, defaultTraceFilter,
-                               cfg.traceMaxSamples);
-            }
-        }
     }
 
     /**
@@ -180,9 +154,6 @@ class Testbed
     {
         return *computeBlades_[i];
     }
-
-    /** @return the built-in tracer (nullptr unless traceSampleNs > 0). */
-    sim::Tracer *tracer() { return tracer_.get(); }
 
     /** @return the time-series plane (nullptr unless tsWindowNs > 0). */
     sim::Timeline *timeline() { return timeline_.get(); }
@@ -236,25 +207,6 @@ class Testbed
         return sim::MetricsRegistry::mergedSnapshot(sim().now(), regs);
     }
 
-    /**
-     * Default trace filter: blade-level series plus the adaptive
-     * controller gauges of thread 0 (one exemplar thread keeps report
-     * size independent of the thread count; per-thread data is still
-     * available in full through snapshot()).
-     */
-    static bool
-    defaultTraceFilter(const sim::MetricId &id, sim::MetricKind kind)
-    {
-        (void)kind;
-        if (id.name.rfind("rnic.", 0) == 0 ||
-            id.name.rfind("app.", 0) == 0 ||
-            id.name.rfind("memblade.", 0) == 0)
-            return true;
-        if (id.name.rfind("smart.ctrl.", 0) == 0)
-            return id.label("thread") == "0";
-        return false;
-    }
-
   private:
     static std::uint32_t
     effectiveShards(const TestbedConfig &cfg)
@@ -277,19 +229,17 @@ class Testbed
     std::vector<std::unique_ptr<sim::SpanTracer>> spans_;
     // Declared after group_: uninstalls itself from every shard.
     std::unique_ptr<sim::Timeline> timeline_;
-    // Declared last: sampling coroutine references members above.
-    std::unique_ptr<sim::Tracer> tracer_;
 };
 
 /**
  * Everything a bench captures about one measured run: the final metrics
- * snapshot and (when tracing was on) the controller/throughput timelines.
+ * snapshot, the windowed time series (controller and throughput
+ * timelines) and, when spans were on, the per-stage attribution.
  */
 struct RunCapture
 {
     std::string label;
     sim::MetricsSnapshot metrics;
-    sim::TraceData trace;
     /** Per-stage latency attribution (null unless spans were recorded). */
     sim::Json spans;
     /** Chrome/Perfetto trace JSON text (empty unless spans recorded). */
@@ -302,6 +252,22 @@ struct RunCapture
     std::string timeseriesCsv;
 };
 
+/** Time-series window of a captured run when none was configured. */
+inline constexpr sim::Time kCaptureWindowNs = sim::usec(500);
+
+/**
+ * Prepare @p cfg for a run that fills @p cap (nullptr = not captured):
+ * a captured run records the time-series plane, at kCaptureWindowNs
+ * unless @p cfg already carries a window (--ts-window). The plane adds
+ * no simulation events, so the run itself is unchanged.
+ */
+inline void
+configureCapture(TestbedConfig &cfg, const RunCapture *cap)
+{
+    if (cap != nullptr && cfg.tsWindowNs == 0)
+        cfg.tsWindowNs = kCaptureWindowNs;
+}
+
 /** Fill @p cap (if non-null) from @p tb after a finished run. */
 inline void
 captureRun(Testbed &tb, RunCapture *cap)
@@ -309,10 +275,6 @@ captureRun(Testbed &tb, RunCapture *cap)
     if (cap == nullptr)
         return;
     cap->metrics = tb.snapshot();
-    if (tb.tracer() != nullptr) {
-        tb.tracer()->stop();
-        cap->trace = tb.tracer()->take();
-    }
     sim::Timeline *tl = tb.timeline();
     if (tb.mergedSpanTracer() != nullptr) {
         sim::SpanTracer &sp = *tb.mergedSpanTracer();
@@ -343,6 +305,95 @@ captureRun(Testbed &tb, RunCapture *cap)
         cap->timeseriesCsv = tl->csv(cap->label);
     }
 }
+
+/**
+ * The measured part of a closed-loop run, as registry deltas between
+ * the end of warmup and the end of the measure window:
+ *
+ *     tb.runUntil(warmup);
+ *     MeasureWindow win(tb);
+ *     tb.runUntil(warmup + measure);
+ *     win.close();
+ *
+ * Counters are summed over the compute blades only. The op latency and
+ * retry histograms live outside the registry's windowing (snapshot
+ * percentiles are cumulative), so opening the window resets them.
+ */
+class MeasureWindow
+{
+  public:
+    /** Open at the current virtual time. */
+    explicit MeasureWindow(Testbed &tb) : tb_(tb)
+    {
+        for (std::uint32_t c = 0; c < tb.numComputeBlades(); ++c) {
+            SmartRuntime &rt = tb.compute(c);
+            rt.opLatency.reset();
+            std::fill(rt.retryHist.begin(), rt.retryHist.end(), 0);
+        }
+        start_ = tb.snapshot();
+    }
+
+    /** Close at the current virtual time. */
+    void
+    close()
+    {
+        sim::MetricsSnapshot end = tb_.snapshot();
+        us_ = static_cast<double>(end.at - start_.at) / 1000.0;
+        delta_ = end.deltaSince(start_);
+        for (std::uint32_t c = 0; c < tb_.numComputeBlades(); ++c) {
+            SmartRuntime &rt = tb_.compute(c);
+            latency_.merge(rt.opLatency);
+            for (std::size_t i = 0; i < retryHist_.size(); ++i)
+                retryHist_[i] += rt.retryHist[i];
+        }
+    }
+
+    /** Window delta of counter @p name, summed over compute blades. */
+    std::uint64_t
+    count(const std::string &name) const
+    {
+        std::uint64_t sum = 0;
+        for (const sim::SnapshotEntry &e : delta_.entries) {
+            if (e.kind == sim::MetricKind::Counter && e.id.name == name &&
+                isCompute(e.id.label("blade")))
+                sum += e.counter;
+        }
+        return sum;
+    }
+
+    /** count(@p name) per microsecond of the window. */
+    double
+    perUs(const std::string &name) const
+    {
+        return static_cast<double>(count(name)) / us_;
+    }
+
+    /** Op latency over the window, merged across compute blades. */
+    const sim::LatencyHistogram &latency() const { return latency_; }
+
+    /** retryHist[n] = window ops that needed n retries. */
+    const std::vector<std::uint64_t> &retryHist() const
+    {
+        return retryHist_;
+    }
+
+  private:
+    bool
+    isCompute(const std::string &blade) const
+    {
+        for (std::uint32_t c = 0; c < tb_.numComputeBlades(); ++c)
+            if (tb_.compute(c).name() == blade)
+                return true;
+        return false;
+    }
+
+    Testbed &tb_;
+    sim::MetricsSnapshot start_;
+    sim::MetricsSnapshot delta_;
+    double us_ = 0;
+    sim::LatencyHistogram latency_;
+    std::vector<std::uint64_t> retryHist_ = std::vector<std::uint64_t>(64, 0);
+};
 
 } // namespace smart::harness
 

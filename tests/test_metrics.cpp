@@ -2,18 +2,18 @@
  * @file
  * Unit tests for the observability layer: MetricsRegistry registration /
  * snapshot / delta / unregistration, snapshot JSON round-trip, histogram
- * bucket boundary behaviour, and the virtual-time Tracer capturing the
- * adaptive-controller timelines (C_max, t_max) through a Testbed run.
+ * bucket boundary behaviour, and a captured Testbed run recording the
+ * adaptive-controller timelines (C_max, t_max) at any shard count.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "harness/bench_cli.hpp"
 #include "harness/testbed.hpp"
 #include "sim/json.hpp"
 #include "sim/metrics.hpp"
-#include "sim/trace.hpp"
 #include "smart/smart_ctx.hpp"
 
 using namespace smart;
@@ -285,7 +285,25 @@ TEST(Testbed, SnapshotExposesPerThreadMetrics)
     EXPECT_NE(s.find("memblade.free_bytes"), nullptr);
 }
 
-TEST(Tracer, CapturesControllerTimeline)
+namespace {
+
+/** Series @p name of thread @p thread in a Timeline block, or nullptr. */
+const sim::Json *
+findSeries(const sim::Json &ts, const std::string &name,
+           const std::string &thread)
+{
+    for (const sim::Json &s : ts.find("series")->asArray()) {
+        const sim::Json *t = s.find("labels")->find("thread");
+        if (s.find("name")->asString() == name && t != nullptr &&
+            t->asString() == thread)
+            return &s;
+    }
+    return nullptr;
+}
+
+/** A captured 10 ms credit-throttled read run at @p shards shards. */
+RunCapture
+controllerRun(std::uint32_t shards)
 {
     TestbedConfig cfg;
     cfg.computeBlades = 1;
@@ -293,32 +311,97 @@ TEST(Tracer, CapturesControllerTimeline)
     cfg.threadsPerBlade = 4;
     cfg.bladeBytes = 1 << 20;
     cfg.smart = presets::workReqThrot().withBenchTimescale();
-    cfg.traceSampleNs = sim::usec(500);
+    cfg.shards = shards;
+    RunCapture cap;
+    configureCapture(cfg, &cap);
     Testbed tb(cfg);
     for (std::uint32_t t = 0; t < 4; ++t)
         tb.compute(0).spawnWorker(t, readWorker);
     // Long enough for several 1 ms candidate probes => C_max moves.
-    tb.sim().runUntil(sim::msec(10));
+    tb.runUntil(sim::msec(10));
+    captureRun(tb, &cap);
+    return cap;
+}
 
-    ASSERT_NE(tb.tracer(), nullptr);
-    const sim::TraceData &trace = tb.tracer()->data();
-    EXPECT_GE(trace.samples(), 5u);
+} // namespace
 
-    const sim::TraceSeries *cmax =
-        trace.find("smart.ctrl.credit_cmax", "0");
+TEST(CaptureTimeline, RecordsControllerSeries)
+{
+    RunCapture cap = controllerRun(1);
+    const sim::Json &ts = cap.timeseries;
+    ASSERT_TRUE(ts.isObject());
+    EXPECT_EQ(ts.find("window_ns")->asUint(), kCaptureWindowNs);
+    std::size_t samples = ts.find("t_ns")->asArray().size();
+    EXPECT_GE(samples, 5u);
+
+    const sim::Json *cmax = findSeries(ts, "smart.ctrl.credit_cmax", "0");
     ASSERT_NE(cmax, nullptr);
-    ASSERT_EQ(cmax->values.size(), trace.samples());
-    std::set<double> distinct(cmax->values.begin(), cmax->values.end());
+    const sim::Json::Array &points = cmax->find("points")->asArray();
+    EXPECT_EQ(cmax->find("start")->asUint() + points.size(), samples);
+    std::set<double> distinct;
+    for (const sim::Json &p : points)
+        distinct.insert(p.asDouble());
     // Algorithm 1 probes the candidate set during the epoch, so the
     // timeline must show C_max actually changing, not a flat line.
     EXPECT_GE(distinct.size(), 2u);
 
-    EXPECT_NE(trace.find("smart.ctrl.tmax_cycles", "0"), nullptr);
-    // The default filter keeps controller gauges only for thread 0.
-    EXPECT_EQ(trace.find("smart.ctrl.credit_cmax", "1"), nullptr);
+    EXPECT_NE(findSeries(ts, "smart.ctrl.tmax_cycles", "0"), nullptr);
+    // Thread 0 is the per-thread exemplar; a thread that does not
+    // exist has no series either.
+    EXPECT_EQ(findSeries(ts, "smart.ctrl.credit_cmax", "1"), nullptr);
+    EXPECT_EQ(findSeries(ts, "smart.ctrl.credit_cmax", "4"), nullptr);
+}
 
-    // Trace JSON shape: t_ns array matches every series' length.
-    sim::Json j = trace.toJson();
-    ASSERT_NE(j.find("t_ns"), nullptr);
-    EXPECT_EQ(j.find("t_ns")->asArray().size(), trace.samples());
+TEST(CaptureTimeline, ControllerSeriesIdenticalAcrossShards)
+{
+    auto controller = [](const RunCapture &cap) {
+        std::string out;
+        for (const sim::Json &s : cap.timeseries.find("series")->asArray())
+            if (s.find("name")->asString().rfind("smart.ctrl.", 0) == 0)
+                out += s.dump(0) + "\n";
+        return out;
+    };
+    std::string one = controller(controllerRun(1));
+    EXPECT_NE(one.find("smart.ctrl.credit_cmax"), std::string::npos);
+    EXPECT_EQ(one, controller(controllerRun(2)));
+}
+
+// ------------------------------------------------------- BenchCli flags
+
+namespace {
+
+/** Parse @p args (after the program name) as a bench command line. */
+std::uint64_t
+seedOf(std::vector<std::string> args)
+{
+    args.insert(args.begin(), "bench");
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    BenchCli cli(static_cast<int>(argv.size()), argv.data(), "bench");
+    return cli.seed();
+}
+
+} // namespace
+
+TEST(BenchCli, SeedIsPlainDecimal)
+{
+    EXPECT_EQ(seedOf({"--seed", "7"}), 7u);
+    EXPECT_EQ(seedOf({"--seed", "010"}), 10u); // not octal
+    EXPECT_EQ(seedOf({"--seed", "18446744073709551615"}), UINT64_MAX);
+}
+
+TEST(BenchCliDeathTest, RejectsMalformedNumbers)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (const char *bad : {"abc", "-1", "0x10", "7x", "", " 7",
+                            "18446744073709551616"}) {
+        EXPECT_EXIT(seedOf({"--seed", bad}), testing::ExitedWithCode(2),
+                    "--seed '.*' is not a decimal number")
+            << "seed '" << bad << "'";
+    }
+    EXPECT_EXIT(seedOf({"--trace-spans=abc"}), testing::ExitedWithCode(2),
+                "--trace-spans=N 'abc' is not a decimal number");
+    EXPECT_EXIT(seedOf({"--trace-spans=-1"}), testing::ExitedWithCode(2),
+                "not a decimal number");
 }

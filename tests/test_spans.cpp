@@ -68,7 +68,7 @@ runWorkers(Testbed &tb, sim::Time ns)
                 t, [](SmartCtx &ctx) { return spanWorker(ctx, ops); });
         }
     }
-    tb.sim().runUntil(ns);
+    tb.runUntil(ns);
     return ops;
 }
 
@@ -191,25 +191,28 @@ TEST(Spans, RetryRoundsNestUnderFaultInjection)
 
 namespace {
 
-/** One fixed-seed run: build, run, export all three artifacts. */
+/** One fixed-seed run: build, run, export every artifact. */
 struct Exports
 {
     std::string trace;
     std::string folded;
     std::string attrib;
+    std::string timeseries;
 };
 
 Exports
 exportRun(bool with_faults)
 {
     TestbedConfig cfg = spanConfig(1);
+    cfg.tsWindowNs = sim::usec(50);
     Testbed tb(cfg);
     if (with_faults)
         tb.faultPlane(11).probabilistic("cb0.rnic", 0.1);
     runWorkers(tb, sim::usec(300));
-    SpanTracer &sp = *tb.spanTracer();
-    return {sp.chromeTraceString(), sp.collapsedStacks(),
-            sp.attribution().dump(2)};
+    RunCapture cap;
+    captureRun(tb, &cap);
+    return {cap.spanTrace, cap.spanFolded, cap.spans.dump(2),
+            cap.timeseries.dump(1)};
 }
 
 } // namespace
@@ -221,12 +224,17 @@ TEST(Spans, ExportsAreByteIdenticalForFixedSeed)
     EXPECT_EQ(a.trace, b.trace);
     EXPECT_EQ(a.folded, b.folded);
     EXPECT_EQ(a.attrib, b.attrib);
+    EXPECT_EQ(a.timeseries, b.timeseries);
+    EXPECT_NE(a.timeseries.find("smart.ctrl.credit_cmax"), std::string::npos);
 
     Exports fa = exportRun(true);
     Exports fb = exportRun(true);
     EXPECT_EQ(fa.trace, fb.trace);
     EXPECT_EQ(fa.folded, fb.folded);
     EXPECT_EQ(fa.attrib, fb.attrib);
+    EXPECT_EQ(fa.timeseries, fb.timeseries);
+    // Injected WR errors move the error counters' series.
+    EXPECT_NE(fa.timeseries, a.timeseries);
 }
 
 TEST(Spans, AttributionCoversMeasuredOpTime)
