@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "harness/bt_bench.hpp"
 #include "harness/dtx_bench.hpp"
 #include "harness/ht_bench.hpp"
@@ -98,7 +100,7 @@ namespace {
 
 HtBenchResult
 htRun(const SmartConfig &smart, std::uint32_t threads,
-      const workload::YcsbMix &mix)
+      const workload::YcsbMix &mix, RunCapture *cap = nullptr)
 {
     TestbedConfig cfg;
     cfg.computeBlades = 1;
@@ -112,7 +114,7 @@ htRun(const SmartConfig &smart, std::uint32_t threads,
     p.mix = mix;
     p.warmupNs = sim::msec(8);
     p.measureNs = sim::msec(2);
-    return runHtBench(cfg, p);
+    return runHtBench(cfg, p, cap);
 }
 
 } // namespace
@@ -136,6 +138,21 @@ TEST(IntegrationConflict, MostSmartUpdatesNeedNoRetry)
     ASSERT_GT(total, 0u);
     // Paper: 93.3% of SMART updates involve no extra roundtrips.
     EXPECT_GT(static_cast<double>(r.retryHist[0]) / total, 0.6);
+}
+
+TEST(IntegrationConflict, GiveUpsAreNotCountedAsOps)
+{
+    RunCapture cap;
+    HtBenchResult r = htRun(presets::workReqThrot(), 96,
+                            workload::YcsbMix::updateOnly(), &cap);
+    // Updates that used up RACE's CAS retry budget are reported apart.
+    EXPECT_GT(r.giveups, 0u);
+    EXPECT_GE(cap.metrics.sumCounters("app.giveups"), r.giveups);
+    // Every op in mops (and in the retry histogram) took effect.
+    std::uint64_t done = 0;
+    for (int i = 0; i < 64; ++i)
+        done += r.retryHist[i];
+    EXPECT_EQ(static_cast<double>(done), std::round(r.mops * 2000.0));
 }
 
 TEST(IntegrationHt, SmartBeatsRaceAtHighThreads)
