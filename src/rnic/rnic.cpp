@@ -171,24 +171,42 @@ Rnic::completeError(const WorkReq &wr, WcStatus status)
         wr.sink->complete(wr, 0, status);
 }
 
+namespace {
+
+/** rkey = id * kRkeyStride + kRkeyTag: arbitrary but deterministic. */
+constexpr std::uint32_t kRkeyStride = 0x1000u;
+constexpr std::uint32_t kRkeyTag = 0xabcu;
+
+} // namespace
+
 const MrRecord &
 Rnic::registerMemory(std::uint8_t *base, std::uint64_t length)
 {
-    MrRecord rec;
-    rec.id = nextMrId_++;
-    rec.rkey = rec.id * 0x1000u + 0xabcu; // arbitrary but deterministic
+    MrRecord &rec = mrs_.emplace_back();
+    rec.id = static_cast<std::uint32_t>(mrs_.size());
+    rec.rkey = rec.id * kRkeyStride + kRkeyTag;
     rec.base = base;
     rec.length = length;
-    auto [it, inserted] = mrs_.emplace(rec.rkey, rec);
-    assert(inserted);
-    return it->second;
+    return rec;
 }
 
 const MrRecord *
 Rnic::findMr(std::uint32_t rkey) const
 {
-    auto it = mrs_.find(rkey);
-    return it == mrs_.end() ? nullptr : &it->second;
+    // The id is the rkey's high bits; the stored rkey decides whether
+    // the entry is still live (a stale or forged rkey misses).
+    std::uint32_t id = rkey / kRkeyStride;
+    if (id == 0 || id > mrs_.size())
+        return nullptr;
+    const MrRecord &rec = mrs_[id - 1];
+    return rec.rkey == rkey ? &rec : nullptr;
+}
+
+void
+Rnic::invalidateMr(std::uint32_t rkey)
+{
+    if (findMr(rkey) != nullptr)
+        mrs_[rkey / kRkeyStride - 1].rkey = 0;
 }
 
 double

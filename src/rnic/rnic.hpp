@@ -16,9 +16,9 @@
 
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "rnic/cache_model.hpp"
@@ -228,7 +228,7 @@ class Rnic : public sim::FaultTarget
      * Drop the MPT entry for @p rkey. Accesses with the stale rkey then
      * complete with RemoteAccessError (blade restart semantics).
      */
-    void invalidateMr(std::uint32_t rkey) { mrs_.erase(rkey); }
+    void invalidateMr(std::uint32_t rkey);
 
     /** ---- Fault-target interface (see sim/fault.hpp) ---- */
     const std::string &faultTargetName() const override
@@ -483,8 +483,12 @@ class Rnic : public sim::FaultTarget
 
     PerfCounters perf_;
 
-    std::unordered_map<std::uint32_t, MrRecord> mrs_;
-    std::uint32_t nextMrId_ = 1;
+    /**
+     * MPT, indexed by MR id - 1 (ids are dense, from 1). A deque keeps
+     * the records registerMemory() hands out at stable addresses as the
+     * table grows; an invalidated entry keeps its slot with rkey 0.
+     */
+    std::deque<MrRecord> mrs_;
     std::uint64_t nextUid_ = 1;
 
     /** Key-space tag separating ICM entries from MTT page entries. */

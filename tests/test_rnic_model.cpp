@@ -104,6 +104,38 @@ TEST(RnicMemory, DistinctMrIdsPerRegistration)
     EXPECT_NE(a.rkey, b.rkey);
 }
 
+TEST(RnicMemory, InvalidatedRkeyMissesAndRecordsStayPut)
+{
+    Simulator sim;
+    RnicConfig cfg;
+    Rnic rnic(sim, cfg, "r");
+    std::vector<std::uint8_t> mem(1024);
+    const MrRecord &first = rnic.registerMemory(mem.data(), mem.size());
+    const MrRecord &second = rnic.registerMemory(mem.data(), mem.size());
+    std::uint32_t stale = second.rkey;
+    // Growing the table must not move records already handed out.
+    std::vector<const MrRecord *> more;
+    for (int i = 0; i < 200; ++i)
+        more.push_back(&rnic.registerMemory(mem.data(), mem.size()));
+    EXPECT_EQ(rnic.findMr(first.rkey), &first);
+    EXPECT_EQ(rnic.findMr(more.back()->rkey), more.back());
+
+    rnic.invalidateMr(stale);
+    EXPECT_EQ(rnic.findMr(stale), nullptr);
+    EXPECT_EQ(rnic.findMr(first.rkey), &first);
+    const MrRecord &again = rnic.registerMemory(mem.data(), mem.size());
+    EXPECT_NE(again.rkey, stale);
+    EXPECT_EQ(rnic.findMr(again.rkey), &again);
+    EXPECT_EQ(rnic.findMr(stale), nullptr);
+
+    // Unknown and forged rkeys miss; invalidating them is a no-op.
+    EXPECT_EQ(rnic.findMr(0), nullptr);
+    EXPECT_EQ(rnic.findMr(again.rkey + 0x1000u), nullptr);
+    rnic.invalidateMr(0);
+    rnic.invalidateMr(~0u);
+    EXPECT_EQ(rnic.findMr(first.rkey), &first);
+}
+
 TEST(RnicMemory, TransKeySeparates2MbPages)
 {
     EXPECT_EQ(Rnic::transKey(1, 0), Rnic::transKey(1, (1 << 21) - 1));
