@@ -10,7 +10,8 @@
  *   lock      - CAS the lock word of every write-set record
  *   validate  - re-READ versions of all records; abort on change
  *   log       - WRITE redo entries to per-thread NVM log rings (both
- *               replicas, persisted)
+ *               replicas, persisted); a transaction's entries are
+ *               consecutive, so each replica takes one WRITE
  *   commit    - WRITE full record images (version+1, lock cleared) to
  *               primary and backup; the data write doubles as unlock
  *
@@ -163,10 +164,25 @@ class DtxSystem
   private:
     friend class Dtx;
 
+    /** Commit state of one client coroutine. */
+    struct CoroLog
+    {
+        std::uint32_t seq = 0;  ///< transactions begun (txid sequence)
+        std::uint32_t next = 0; ///< next free entry of its log region
+    };
+
+    /**
+     * @return @p ctx's commit state. The rings are per compute thread,
+     * so one system serves the coroutines of one compute blade.
+     */
+    CoroLog &coroLog(SmartCtx &ctx);
+
     std::vector<memblade::MemoryBlade *> blades_;
     std::vector<std::unique_ptr<DtxTable>> tables_;
     std::vector<std::uint64_t> logBase_; // per blade
     std::uint32_t numThreads_;
+    SmartRuntime *client_ = nullptr; // the compute blade, fixed at first use
+    std::vector<CoroLog> coroLogs_;  // index: thread * coros + coroutine
 };
 
 /** Statistics of one transaction attempt chain. */
@@ -241,7 +257,6 @@ class Dtx
     std::uint64_t txid_;
     std::vector<Item> reads_;
     std::vector<Item> writes_;
-    std::uint32_t logPos_ = 0;
     bool aborted_ = false;
 };
 

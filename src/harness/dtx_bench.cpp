@@ -18,11 +18,24 @@ using sim::Time;
 
 namespace {
 
+/**
+ * Count one finished transaction: a committed one is an op; one that
+ * used up its attempts did not take effect and is a give-up.
+ */
+void
+finishTxn(SmartCtx &ctx, Time start, const ford::DtxResult &res,
+          sim::Counter &giveups)
+{
+    if (res.committed)
+        ctx.runtime().recordOp(ctx.sim().now() - start, res.aborts);
+    else
+        giveups.add();
+}
+
 Task
 sbWorker(SmartCtx &ctx, ford::SmallBank &bank, DtxBenchParams params,
-         std::uint64_t seed, double zetan)
+         std::uint64_t seed, double zetan, sim::Counter &giveups)
 {
-    SmartRuntime &rt = ctx.runtime();
     sim::Rng rng(seed);
     sim::ZipfianGenerator accounts(params.numAccounts, params.zipfTheta,
                                    seed ^ 0xacc, zetan);
@@ -32,7 +45,7 @@ sbWorker(SmartCtx &ctx, ford::SmallBank &bank, DtxBenchParams params,
         co_await ctx.opBegin();
         co_await bank.runOne(ctx, rng, accounts, res);
         ctx.opEnd();
-        rt.recordOp(ctx.sim().now() - start, res.aborts);
+        finishTxn(ctx, start, res, giveups);
         if (params.interTxnDelayNs)
             co_await ctx.sim().delay(params.interTxnDelayNs);
     }
@@ -40,9 +53,8 @@ sbWorker(SmartCtx &ctx, ford::SmallBank &bank, DtxBenchParams params,
 
 Task
 tatpWorker(SmartCtx &ctx, ford::Tatp &tatp, DtxBenchParams params,
-           std::uint64_t seed)
+           std::uint64_t seed, sim::Counter &giveups)
 {
-    SmartRuntime &rt = ctx.runtime();
     sim::Rng rng(seed);
     for (;;) {
         Time start = ctx.sim().now();
@@ -50,7 +62,7 @@ tatpWorker(SmartCtx &ctx, ford::Tatp &tatp, DtxBenchParams params,
         co_await ctx.opBegin();
         co_await tatp.runOne(ctx, rng, res);
         ctx.opEnd();
-        rt.recordOp(ctx.sim().now() - start, res.aborts);
+        finishTxn(ctx, start, res, giveups);
         if (params.interTxnDelayNs)
             co_await ctx.sim().delay(params.interTxnDelayNs);
     }
@@ -59,7 +71,8 @@ tatpWorker(SmartCtx &ctx, ford::Tatp &tatp, DtxBenchParams params,
 } // namespace
 
 DtxBenchResult
-runDtxBench(const DtxBenchParams &params, RunCapture *capture)
+runDtxBench(const DtxBenchParams &params, RunCapture *capture,
+            const std::function<void(ford::DtxSystem &)> &prepare)
 {
     TestbedConfig cfg;
     cfg.computeBlades = 1;
@@ -73,6 +86,8 @@ runDtxBench(const DtxBenchParams &params, RunCapture *capture)
     configureCapture(cfg, capture);
     if (capture != nullptr)
         cfg.spanSampleEvery = params.spanSampleEvery;
+    // Declared before the testbed, so it outlives its registries.
+    sim::Counter giveups;
     Testbed tb(cfg);
 
     std::vector<memblade::MemoryBlade *> blades;
@@ -92,18 +107,24 @@ runDtxBench(const DtxBenchParams &params, RunCapture *capture)
             sys, std::max<std::uint64_t>(1, params.numAccounts / 10));
     }
 
+    if (prepare)
+        prepare(sys);
+
     SmartRuntime &rt = tb.compute(0);
+    rt.sim().metrics().registerCounter(&giveups, "app.giveups",
+                                       {{"blade", rt.name()}}, &giveups);
     for (std::uint32_t t = 0; t < params.threads; ++t) {
         for (std::uint32_t k = 0; k < params.corosPerThread; ++k) {
             std::uint64_t seed = 0xd7 + t * 911ull + k * 31ull +
                                  params.seed * 0x9e3779b97f4a7c15ull;
             if (bank) {
                 rt.spawnWorker(t, [&, seed](SmartCtx &ctx) {
-                    return sbWorker(ctx, *bank, params, seed, zetan);
+                    return sbWorker(ctx, *bank, params, seed, zetan,
+                                    giveups);
                 });
             } else {
                 rt.spawnWorker(t, [&, seed](SmartCtx &ctx) {
-                    return tatpWorker(ctx, *tatp, params, seed);
+                    return tatpWorker(ctx, *tatp, params, seed, giveups);
                 });
             }
         }
@@ -116,6 +137,7 @@ runDtxBench(const DtxBenchParams &params, RunCapture *capture)
 
     DtxBenchResult res;
     std::uint64_t ops = win.count("app.ops");
+    res.giveups = win.count("app.giveups");
     res.mtps = win.perUs("app.ops");
     res.rdmaMops = win.perUs("rnic.wrs_completed");
     res.medianNs = static_cast<double>(win.latency().p50());

@@ -8,8 +8,13 @@
 #define SMART_HARNESS_DTX_BENCH_HPP
 
 #include <cstdint>
+#include <functional>
 
 #include "harness/testbed.hpp"
+
+namespace smart::ford {
+class DtxSystem;
+}
 
 namespace smart::harness {
 
@@ -49,14 +54,20 @@ struct DtxBenchResult
     double p99Ns = 0;
     double abortRate = 0;  ///< aborts per committed transaction
     double rdmaMops = 0;
+    /** Transactions that used up their attempts in the window: they did
+     *  not take effect and count in no other field. */
+    std::uint64_t giveups = 0;
 };
 
 /**
  * @param capture when non-null, filled with the run's full metrics
  *        snapshot and time series (sampled every kCaptureWindowNs).
+ * @param prepare when set, called on the loaded database before any
+ *        transaction runs (tests use it to plant held locks).
  */
-DtxBenchResult runDtxBench(const DtxBenchParams &params,
-                           RunCapture *capture = nullptr);
+DtxBenchResult
+runDtxBench(const DtxBenchParams &params, RunCapture *capture = nullptr,
+            const std::function<void(ford::DtxSystem &)> &prepare = {});
 
 } // namespace smart::harness
 

@@ -2,11 +2,15 @@
  * @file
  * Tests for the FORD-style transaction layer: table load/addressing,
  * single-transaction commit semantics, OCC aborts under conflicts,
- * replica consistency, money conservation under heavy concurrency, and
- * both application benchmarks (SmallBank, TATP).
+ * replica consistency, money conservation under heavy concurrency, the
+ * redo-log framing (WRs per profile, entry placement, per-coroutine
+ * txids), and both application benchmarks (SmallBank, TATP).
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "apps/ford/smallbank.hpp"
 #include "apps/ford/tatp.hpp"
@@ -38,6 +42,15 @@ struct DtxFixture : ::testing::Test
         for (std::uint32_t i = 0; i < tb->numMemBlades(); ++i)
             blades.push_back(&tb->memBlade(i));
         sys = std::make_unique<DtxSystem>(blades, threads);
+    }
+
+    /** Copy of every log ring on memory blade @p blade. */
+    std::vector<std::uint8_t>
+    logRings(std::uint32_t blade)
+    {
+        const std::uint8_t *base =
+            tb->memBlade(blade).bytesAt(sys->logOffset(blade, 0));
+        return {base, base + sys->numThreads() * DtxSystem::kLogRingBytes};
     }
 };
 
@@ -250,4 +263,130 @@ TEST_F(DtxFixture, BaselineConfigCommitsToo)
     });
     tb->sim().runUntil(sim::msec(100));
     EXPECT_EQ(done, 1);
+}
+
+TEST_F(DtxFixture, UncontendedWrsPerSmallBankProfile)
+{
+    // fetch R+W, lock W, validate R+W, log one WRITE per replica, commit
+    // 2W: Balance 4, DepositChecking 7, TransactSaving 7, Amalgamate 17,
+    // WriteCheck 9, SendPayment 12.
+    build(presets::full(), 1);
+    SmallBank bank(*sys, 100);
+    std::vector<DtxResult> res(6);
+    tb->compute(0).spawnWorker(0, [&](SmartCtx &ctx) -> Task {
+        co_await bank.txBalance(ctx, 1, res[0]);
+        co_await bank.txDepositChecking(ctx, 2, 10, res[1]);
+        co_await bank.txTransactSaving(ctx, 3, 10, res[2]);
+        co_await bank.txAmalgamate(ctx, 4, 5, res[3]);
+        co_await bank.txWriteCheck(ctx, 6, 10, res[4]);
+        co_await bank.txSendPayment(ctx, 7, 8, 10, res[5]);
+    });
+    tb->sim().runUntil(sim::msec(50));
+    const std::uint32_t expected[6] = {4, 7, 7, 17, 9, 12};
+    for (int i = 0; i < 6; ++i) {
+        EXPECT_TRUE(res[i].committed) << i;
+        EXPECT_EQ(res[i].aborts, 0u) << i;
+        EXPECT_EQ(res[i].rdmaOps, expected[i]) << i;
+    }
+}
+
+TEST_F(DtxFixture, AmalgamateLogsConsecutiveEntriesOnBothReplicas)
+{
+    build(presets::full(), 1);
+    SmallBank bank(*sys, 100);
+    bool committed = false;
+    tb->compute(0).spawnWorker(0, [&](SmartCtx &ctx) -> Task {
+        DtxResult res;
+        co_await bank.txAmalgamate(ctx, 3, 4, res);
+        committed = res.committed;
+    });
+    tb->sim().runUntil(sim::msec(50));
+    ASSERT_TRUE(committed);
+
+    // The only transaction so far: its three entries are the only ones.
+    std::vector<std::uint8_t> rings[2] = {logRings(0), logRings(1)};
+    EXPECT_EQ(rings[0], rings[1]);
+    std::vector<std::size_t> at;
+    for (std::size_t off = 0; off + sizeof(LogEntry) <= rings[0].size();
+         off += sizeof(LogEntry)) {
+        LogEntry e;
+        std::memcpy(&e, rings[0].data() + off, sizeof(LogEntry));
+        if (e.txid != 0)
+            at.push_back(off);
+    }
+    ASSERT_EQ(at.size(), 3u);
+    const struct
+    {
+        DtxTable &table;
+        std::uint64_t key;
+    } parts[3] = {{bank.savings(), 3}, {bank.checking(), 3},
+                  {bank.checking(), 4}};
+    LogEntry first;
+    std::memcpy(&first, rings[0].data() + at[0], sizeof(LogEntry));
+    for (std::uint32_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(at[i], at[0] + i * sizeof(LogEntry));
+        LogEntry e;
+        std::memcpy(&e, rings[0].data() + at[i], sizeof(LogEntry));
+        EXPECT_EQ(e.txid, first.txid);
+        EXPECT_EQ(e.part, i);
+        EXPECT_EQ(e.nparts, 3u);
+        EXPECT_EQ(e.tableId, parts[i].table.id());
+        EXPECT_EQ(e.key, parts[i].key);
+        EXPECT_EQ(std::memcmp(&e.img, parts[i].table.hostRecord(e.key),
+                              sizeof(Record)),
+                  0)
+            << i;
+    }
+}
+
+namespace {
+
+/** Run a short SmallBank mix on a fresh testbed; return its log rings. */
+std::vector<std::uint8_t>
+smallBankLogImage()
+{
+    TestbedConfig cfg;
+    cfg.computeBlades = 1;
+    cfg.memoryBlades = 2;
+    cfg.threadsPerBlade = 4;
+    cfg.bladeBytes = 512ull << 20;
+    cfg.smart = presets::full();
+    cfg.smart.corosPerThread = 2;
+    Testbed tb(cfg);
+    std::vector<memblade::MemoryBlade *> blades = {&tb.memBlade(0),
+                                                   &tb.memBlade(1)};
+    DtxSystem sys(blades, 4);
+    SmallBank bank(sys, 64);
+    for (std::uint32_t t = 0; t < 4; ++t) {
+        for (std::uint32_t k = 0; k < 2; ++k) {
+            tb.compute(0).spawnWorker(t, [&, t, k](SmartCtx &ctx) -> Task {
+                sim::Rng rng(t * 2 + k + 1);
+                sim::ZipfianGenerator accounts(64, 0.5, t * 2 + k + 9);
+                for (int i = 0; i < 40; ++i) {
+                    DtxResult res;
+                    co_await bank.runOne(ctx, rng, accounts, res);
+                }
+            });
+        }
+    }
+    tb.sim().runUntil(sim::msec(20));
+    std::vector<std::uint8_t> image;
+    for (std::uint32_t b = 0; b < 2; ++b) {
+        const std::uint8_t *base = tb.memBlade(b).bytesAt(sys.logOffset(b, 0));
+        image.insert(image.end(), base, base + 4 * DtxSystem::kLogRingBytes);
+    }
+    return image;
+}
+
+} // namespace
+
+TEST(DtxLog, IdenticalRunsInOneProcessLeaveIdenticalLogRings)
+{
+    // txids and log slots come from each coroutine's own sequence, not
+    // from how many transactions ran earlier in the process.
+    std::vector<std::uint8_t> first = smallBankLogImage();
+    std::vector<std::uint8_t> second = smallBankLogImage();
+    EXPECT_NE(std::count(first.begin(), first.end(), 0),
+              static_cast<std::ptrdiff_t>(first.size()));
+    EXPECT_TRUE(first == second);
 }

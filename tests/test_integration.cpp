@@ -10,6 +10,7 @@
 
 #include <cmath>
 
+#include "apps/ford/dtx.hpp"
 #include "harness/bt_bench.hpp"
 #include "harness/dtx_bench.hpp"
 #include "harness/ht_bench.hpp"
@@ -244,4 +245,29 @@ TEST(IntegrationDtx, SmartCutsMedianLatencyAtMatchedLoad)
     p.smartOn = true;
     DtxBenchResult smart_dtx = runDtxBench(p);
     EXPECT_LT(smart_dtx.medianNs, ford.medianNs); // Fig. 11
+}
+
+TEST(DtxBench, GiveUpsAreNotCountedAsOps)
+{
+    // One coroutine, no contention: only the planted lock on checking(0)
+    // makes a transaction abort, and every transaction that writes
+    // checking(0) uses up its 4096 attempts on it.
+    DtxBenchParams p;
+    p.smartOn = false; // no CAS backoff: a give-up takes ~4096 RTTs
+    p.numAccounts = 16;
+    p.threads = 1;
+    p.corosPerThread = 1;
+    p.warmupNs = sim::msec(1);
+    p.measureNs = sim::msec(100);
+    RunCapture cap;
+    DtxBenchResult r = runDtxBench(p, &cap, [](ford::DtxSystem &sys) {
+        sys.table(1).hostRecord(0)->lock = 1; // table 1: checking
+    });
+    EXPECT_GT(r.giveups, 0u);
+    EXPECT_GE(cap.metrics.sumCounters("app.giveups"), r.giveups);
+    EXPECT_GT(r.mtps, 0.0);
+    // Committed transactions never met the lock, so their abort count is
+    // zero; a counted give-up would add its 4096 aborts.
+    EXPECT_EQ(r.abortRate, 0.0);
+    EXPECT_LT(r.p99Ns, static_cast<double>(sim::msec(1)));
 }

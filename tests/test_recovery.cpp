@@ -193,6 +193,48 @@ TEST(Recovery, CompleteLogIsRedoneOntoStaleReplicas)
               old_img.version + 1);
 }
 
+TEST(Recovery, CompleteLogOnOneReplicaIsRedone)
+{
+    // An Amalgamate-shaped log (three parts in consecutive slots, as one
+    // WRITE lays it down) that reached only one replica's ring before
+    // the crash is still complete, so the transaction is redone.
+    CrashRig rig(1, 8);
+    DtxTable &sav = rig.bank->savings();
+    DtxTable &chk = rig.bank->checking();
+    const struct
+    {
+        DtxTable &table;
+        std::uint64_t key;
+        std::int64_t balance;
+    } parts[3] = {{sav, 2, 0}, {chk, 2, 0}, {chk, 6, 30000}};
+    std::uint32_t blade = sav.backupBlade();
+    std::uint8_t *ring = rig.tb->memBlade(blade).bytesAt(
+        rig.sys->logOffset(blade, 0) + 5 * sizeof(LogEntry));
+    for (std::uint32_t i = 0; i < 3; ++i) {
+        LogEntry e;
+        e.txid = 0x9999;
+        e.part = i;
+        e.nparts = 3;
+        e.tableId = parts[i].table.id();
+        e.key = parts[i].key;
+        e.img = *parts[i].table.hostRecord(e.key);
+        e.img.version++;
+        setRecordBalance(e.img, parts[i].balance);
+        std::memcpy(ring + i * sizeof(LogEntry), &e, sizeof(LogEntry));
+    }
+    std::int64_t before = rig.bank->hostTotal();
+
+    EXPECT_EQ(rig.sys->recover(), 1u);
+    for (const auto &p : parts) {
+        EXPECT_EQ(recordBalance(*p.table.hostRecord(p.key)), p.balance);
+        EXPECT_EQ(recordBalance(*p.table.hostBackupRecord(p.key)),
+                  p.balance);
+        EXPECT_EQ(p.table.hostRecord(p.key)->version, 2u);
+    }
+    EXPECT_EQ(rig.bank->hostTotal(), before);
+    EXPECT_TRUE(rig.allUnlockedAndReplicated());
+}
+
 TEST(Recovery, IncompleteLogIsDiscarded)
 {
     // Only part 0 of a 2-part transaction made it to NVM: the crash hit
