@@ -25,8 +25,7 @@ using namespace smart::harness;
 
 namespace {
 
-std::uint64_t g_seed = 0;   // from BenchCli --seed
-std::uint32_t g_shards = 1; // from BenchCli --shards
+std::uint64_t g_seed = 0; // from BenchCli --seed
 
 double
 run(const rnic::RnicConfig &hw, QpPolicy policy, std::uint32_t depth,
@@ -38,7 +37,6 @@ run(const rnic::RnicConfig &hw, QpPolicy policy, std::uint32_t depth,
     cfg.memoryBlades = 1;
     cfg.threadsPerBlade = 96;
     cfg.smart = presets::baseline().withQpPolicy(policy).withCoros(1);
-    cfg.shards = g_shards;
     RdmaBenchParams p;
     p.depth = depth;
     p.seed = g_seed;
@@ -53,7 +51,6 @@ main(int argc, char **argv)
 {
     BenchCli cli(argc, argv, "ablation_model");
     g_seed = cli.seed();
-    g_shards = cli.shards();
     bool quick = cli.quick();
 
     std::cout << "== Ablation (a): doorbell bounce cost vs per-thread-QP "

@@ -50,7 +50,6 @@ run(double theta, bool cached, std::uint64_t keys, bool quick,
         cfg.smart.withCacheMb(quick ? 8 : 32);
         g_cli->configureCache(cfg.smart);
     }
-    g_cli->configureShards(cfg);
     if (cap != nullptr)
         g_cli->configureTimeline(cfg);
 

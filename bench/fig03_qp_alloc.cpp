@@ -48,7 +48,6 @@ main(int argc, char **argv)
                 cfg.smart = presets::baseline() // §3: no SMART features
                                 .withQpPolicy(policy)
                                 .withCoros(1);
-                cli.configureShards(cfg);
 
                 RdmaBenchParams params;
                 params.op = op;

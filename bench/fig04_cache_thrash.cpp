@@ -57,7 +57,6 @@ main(int argc, char **argv)
                 cfg.smart = presets::baseline()
                                 .withQpPolicy(QpPolicy::PerThreadDb)
                                 .withCoros(1);
-                cli.configureShards(cfg);
 
                 RdmaBenchParams params;
                 params.op = op;

@@ -38,7 +38,6 @@ main(int argc, char **argv)
         cfg.bladeBytes = 2ull << 30;
         cfg.smart = presets::baseline();
         cli.configureSpans(cfg);
-        cli.configureShards(cfg);
 
         HtBenchParams p;
         p.numKeys = keys;
@@ -72,7 +71,6 @@ main(int argc, char **argv)
         cfg.threadsPerBlade = 16;
         cfg.bladeBytes = 2ull << 30;
         cfg.smart = presets::baseline();
-        cli.configureShards(cfg);
 
         HtBenchParams p;
         p.numKeys = keys;

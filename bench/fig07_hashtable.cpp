@@ -35,7 +35,6 @@ run(std::uint32_t compute_blades, std::uint32_t threads, bool smart_on,
     cfg.smart = smart_on ? presets::full() : presets::baseline();
     cfg.smart.withBenchTimescale();
     g_cli->configureCache(cfg.smart);
-    g_cli->configureShards(cfg);
     cfg.spanSampleEvery = g_span_every;
 
     HtBenchParams p;

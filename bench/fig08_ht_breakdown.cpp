@@ -61,7 +61,6 @@ main(int argc, char **argv)
                 cfg.smart.withBenchTimescale();
                 cli.configureCache(cfg.smart);
                 cli.configureSpans(cfg);
-                cli.configureShards(cfg);
 
                 HtBenchParams p;
                 p.numKeys = keys;

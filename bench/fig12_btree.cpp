@@ -48,7 +48,6 @@ main(int argc, char **argv)
                 p.servers = 1;
                 p.threadsPerServer = thr;
                 p.seed = cli.seed();
-                p.shards = cli.shards();
                 p.spanSampleEvery = cli.spanSampleEvery();
                 p.mix = mix;
                 p.measureNs = quick ? sim::msec(2) : sim::msec(4);
@@ -81,7 +80,6 @@ main(int argc, char **argv)
                 p.servers = sv;
                 p.threadsPerServer = 94;
                 p.seed = cli.seed();
-                p.shards = cli.shards();
                 p.mix = mix;
                 p.measureNs = quick ? sim::msec(2) : sim::msec(4);
                 t.cell(runBtBench(p).mops, 2);

@@ -19,8 +19,7 @@ using namespace smart::harness;
 
 namespace {
 
-std::uint64_t g_seed = 0;   // from BenchCli --seed
-std::uint32_t g_shards = 1; // from BenchCli --shards
+std::uint64_t g_seed = 0; // from BenchCli --seed
 
 struct Policy
 {
@@ -54,7 +53,6 @@ run(const SmartConfig &smart, std::uint32_t threads, std::uint32_t batch,
     cfg.threadsPerBlade = threads;
     cfg.smart = smart;
     cfg.smart.corosPerThread = 1;
-    cfg.shards = g_shards;
 
     RdmaBenchParams params;
     params.depth = batch;
@@ -71,7 +69,6 @@ main(int argc, char **argv)
 {
     BenchCli cli(argc, argv, "fig13_micro");
     g_seed = cli.seed();
-    g_shards = cli.shards();
     bool quick = cli.quick();
     std::vector<Policy> pols = policies();
 

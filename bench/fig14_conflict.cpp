@@ -56,7 +56,6 @@ run(const SmartConfig &smart, std::uint32_t threads, std::uint64_t keys,
     cfg.smart = smart;
     cfg.smart.withBenchTimescale();
     g_cli->configureCache(cfg.smart);
-    g_cli->configureShards(cfg);
     cfg.spanSampleEvery = g_span_every;
 
     HtBenchParams p;

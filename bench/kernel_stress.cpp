@@ -3,7 +3,7 @@
  * DES kernel microbench: drives the event queue directly (no RNIC or
  * SMART machinery) and verifies the allocation-free hot path.
  *
- * Four workloads exercise the kernel's distinct hot paths:
+ * These workloads exercise the kernel's distinct hot paths:
  *   resume_storm  coroutines cycling through near-future delays — the
  *                 EventFn::resume fast path on the calendar ring
  *   timer_wheel   self-rescheduling plain callbacks on the ring
@@ -14,26 +14,18 @@
  *   span_storm    resume_storm's loop with SpanTracer instrumentation
  *                 guards, run twice: tracer absent (span_storm_off) and
  *                 installed with sampling (span_storm_on)
- *   shard_scaling the same blade-partitioned workload run on 1/2/4/8
- *                 shards (real threads, conservative lookahead): local
- *                 loopers plus cross-blade wire pings per blade
  *
- * Each single-shard workload warms up (growing buffers, pooling
- * frames), then runs a measured window during which a global
- * operator-new hook counts heap allocations. resume_storm, timer_wheel,
+ * Each workload warms up (growing buffers, pooling frames), then runs a
+ * measured window during which a global operator-new hook counts heap
+ * allocations. resume_storm, timer_wheel,
  * spawn_churn and both span_storm runs must be exactly allocation-free
  * in steady state: any counted allocation fails the bench (exit 1). The
  * span runs additionally gate that the tracer never perturbs the
  * simulation: span_storm_off must process exactly resume_storm's event
  * count (the guard is one pointer load), and span_storm_on must process
- * the same events again while recording. shard_scaling gates that every
- * shard count processes exactly the same events and delivers the same
- * wire messages as the single-shard run (the determinism gate); the
- * wall-clock speedup column is informational here and gated by
- * scripts/compare_bench.py only on hosts with >= 4 cores. These are the
- * acceptance gates for the inline-event design, the observe-only span
- * layer and the sharded engine; there are no in-binary wall-clock
- * thresholds (a 1-core CI runner cannot demonstrate speedup).
+ * the same events again while recording. These are the acceptance gates
+ * for the inline-event design and the observe-only span layer; there are
+ * no in-binary wall-clock thresholds.
  */
 
 #include <chrono>
@@ -52,7 +44,6 @@
 #include "sim/table.hpp"
 #include "sim/task.hpp"
 #include "sim/types.hpp"
-#include "sim/wire.hpp"
 
 namespace {
 
@@ -294,89 +285,6 @@ runSpanStorm(std::uint32_t lanes, Time warmup, Time window, bool traced,
     return r;
 }
 
-// ---------------------------------------------------------- shard scaling
-
-/**
- * The blade-partitioned scaling workload: kBlades logical blades are
- * round-robined over N shards, each blade running local resume loopers
- * plus one pinger that wires a counted message to the next blade every
- * iteration. Blade streams only interact through the wire, so the total
- * event and delivery counts must be identical at every shard count —
- * that invariance is this workload's determinism gate. Allocation
- * counting stays off here: the global tally is not thread-safe and the
- * cross-shard rings legitimately touch the allocator on overflow.
- */
-struct PingCount
-{
-    std::uint64_t *counter;
-
-    void operator()() { ++*counter; }
-};
-
-Task
-pingLooper(Simulator &sim, smart::sim::WireEndpoint &ep, Simulator &dst,
-           std::uint64_t *counter, std::uint32_t blade)
-{
-    // Blade-unique (shard-count-independent) cadence; delivery exactly
-    // one lookahead ahead, the tightest legal cross-shard horizon.
-    const Time period = 200 + (blade * 31) % 277;
-    for (;;) {
-        co_await sim.delay(period);
-        ep.send(dst, sim.now() + 250, PingCount{counter});
-    }
-}
-
-struct ShardScalingResult
-{
-    std::uint32_t shards = 0;
-    std::uint64_t events = 0;
-    std::uint64_t delivered = 0;
-    double wallMs = 0.0;
-};
-
-ShardScalingResult
-runShardScaling(std::uint32_t nshards, std::uint32_t lanes, Time warmup,
-                Time window)
-{
-    constexpr std::uint32_t kBlades = 8;
-    smart::sim::ShardGroup group(nshards, 250);
-    std::vector<std::uint64_t> delivered(kBlades, 0);
-    std::vector<std::unique_ptr<smart::sim::WireEndpoint>> eps;
-    eps.reserve(kBlades);
-    // Endpoints constructed in blade order regardless of shard count, so
-    // the (dtime, srcId, seq) delivery keys are shard-count-invariant.
-    for (std::uint32_t b = 0; b < kBlades; ++b)
-        eps.push_back(std::make_unique<smart::sim::WireEndpoint>(
-            group.shard(b % group.size())));
-    for (std::uint32_t b = 0; b < kBlades; ++b) {
-        Simulator &sim = group.shard(b % group.size());
-        for (std::uint32_t l = 0; l < lanes / kBlades; ++l)
-            sim.spawn(resumeLooper(sim, b * 131 + l));
-        std::uint32_t nb = (b + 1) % kBlades;
-        sim.spawn(pingLooper(sim, *eps[b],
-                             group.shard(nb % group.size()),
-                             &delivered[nb], b));
-    }
-
-    group.runUntil(warmup);
-    std::uint64_t events0 = 0;
-    for (std::uint32_t s = 0; s < group.size(); ++s)
-        events0 += group.shard(s).eventsProcessed();
-    auto t0 = std::chrono::steady_clock::now();
-    group.runUntil(warmup + window);
-    auto t1 = std::chrono::steady_clock::now();
-
-    ShardScalingResult r;
-    r.shards = group.size();
-    for (std::uint32_t s = 0; s < group.size(); ++s)
-        r.events += group.shard(s).eventsProcessed();
-    r.events -= events0;
-    for (std::uint64_t d : delivered)
-        r.delivered += d;
-    r.wallMs = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    return r;
-}
-
 } // namespace
 
 int
@@ -486,52 +394,10 @@ main(int argc, char **argv)
         .cell(disabled_overhead_pct, 2);
     cli.addTable("kernel_stress_span_gates", span_gates);
 
-    // Shard-scaling sweep: same workload, 1/2/4/8 shards. The gate is
-    // determinism (identical event + delivery totals at every count);
-    // the speedup column is informational in-binary and enforced by
-    // scripts/compare_bench.py only when the host has >= 4 cores.
-    const Time ss_warmup = smart::sim::usec(cli.quick() ? 20 : 50);
-    const Time ss_window = smart::sim::usec(cli.quick() ? 100 : 1000);
-    std::printf("== shard scaling (8 blades, window=%llu us) ==\n",
-                static_cast<unsigned long long>(ss_window / 1000));
-    smart::sim::Table ss_table({"shards", "events", "delivered", "wall_ms",
-                                "events_per_sec", "speedup_vs_1"});
-    ShardScalingResult ss_base{};
-    for (std::uint32_t n : {1u, 2u, 4u, 8u}) {
-        ShardScalingResult r =
-            runShardScaling(n, lanes, ss_warmup, ss_window);
-        if (n == 1)
-            ss_base = r;
-        double wall_s = r.wallMs > 0 ? r.wallMs / 1000.0 : 1e-9;
-        double speedup = r.wallMs > 0 ? ss_base.wallMs / r.wallMs : 0.0;
-        ss_table.row()
-            .cell(static_cast<std::uint64_t>(r.shards))
-            .cell(r.events)
-            .cell(r.delivered)
-            .cell(r.wallMs, 3)
-            .cell(static_cast<double>(r.events) / wall_s, 0)
-            .cell(speedup, 2);
-        if (r.events != ss_base.events || r.delivered != ss_base.delivered) {
-            fail = true;
-            std::fprintf(stderr,
-                         "FAIL: shard_scaling at %u shards processed "
-                         "%llu events / %llu deliveries; 1 shard "
-                         "processed %llu / %llu (sharding changed the "
-                         "simulation)\n",
-                         r.shards,
-                         static_cast<unsigned long long>(r.events),
-                         static_cast<unsigned long long>(r.delivered),
-                         static_cast<unsigned long long>(ss_base.events),
-                         static_cast<unsigned long long>(ss_base.delivered));
-        }
-    }
-    cli.addTable("kernel_stress_shard_scaling", ss_table);
-
     cli.note("Paper shape: allocation-free event hot path; resume_storm, "
              "timer_wheel, spawn_churn and both span_storm runs must "
-             "report 0 steady-state allocs, the span tracer must never "
-             "change the processed-event count, and every shard count "
-             "must replay the single-shard simulation exactly.");
+             "report 0 steady-state allocs, and the span tracer must never "
+             "change the processed-event count.");
 
     int rc = cli.finish();
     return fail ? 1 : rc;

@@ -82,7 +82,6 @@ makeRig(const std::string &app, const Shape &sh, BenchCli &cli,
     cfg.smart.withOverloadWatermarks(48, 96);
     cli.configureCache(cfg.smart);
     cfg.smart.corosPerThread = sh.coros;
-    cli.configureShards(cfg);
     if (cap != nullptr) {
         cli.configureSpans(cfg);
         cli.configureTimeline(cfg);
@@ -526,9 +525,6 @@ main(int argc, char **argv)
         cli.configureCache(cfg.smart);
         // +1 slot on thread 0 for the plane's migration worker.
         cfg.smart.corosPerThread = sh.coros + 1;
-        // Membership + fault planes keep the churn arm single-shard
-        // (both abort on a sharded simulation), so --shards is not
-        // applied here.
         RunCapture *cap = cli.nextCapture("churn/0.9x");
         if (cap != nullptr) {
             cli.configureSpans(cfg);

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate a smart-bench-report/v2 JSON file emitted by `--json`.
+"""Validate a smart-bench-report/v3 JSON file emitted by `--json`.
 
 Usage:
     check_bench_json.py REPORT.json
@@ -12,9 +12,8 @@ and validates the report it writes. Exits 0 when the report is valid,
 reports by hand.
 
 With --same-timeseries, checks that two reports carry identical
-windowed time-series blocks for every common run label (the shard-count
-byte-identity gate: a --shards 4 run must sample exactly what the
---shards 1 run did).
+windowed time-series blocks for every common run label (the repeat-run
+byte-identity gate: two same-seed runs must sample exactly the same).
 """
 
 import json
@@ -23,7 +22,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-SCHEMA = "smart-bench-report/v2"
+SCHEMA = "smart-bench-report/v3"
 
 # DES-kernel microbenches drive the event queue directly: they have no
 # SMART threads or controller, so the thread-metrics / controller-timeline
@@ -51,6 +50,7 @@ def validate(report):
         check(isinstance(report[key], typ),
               f"{key!r} must be {typ.__name__}")
 
+    validate_provenance(report)
     validate_perf(report)
 
     for t in report["tables"]:
@@ -113,8 +113,6 @@ def validate(report):
               "no run carries per-thread doorbell_wait_ns + wqe_refetches")
         check(saw_ctrl_timeline,
               "no run has a C_max + t_max timeline with >= 5 samples")
-    if report["bench"] == "kernel_stress":
-        validate_kernel_stress(report)
     if report["bench"] == "fault_storm":
         validate_fault_storm(report)
     if report["bench"] == "cache_crossover":
@@ -301,58 +299,20 @@ def validate_perf(report):
     check(perf["host_cores"] >= 1,
           f"perf.host_cores {perf['host_cores']} must be >= 1")
 
-    # Per-shard breakdown: events/inserts sum to the process totals,
-    # peak depth is the max over shard peaks (never a sum).
-    shards = perf.get("shards")
-    check(isinstance(shards, list) and shards,
-          "perf.shards must be a non-empty list")
-    ev_sum = 0
-    peak_max = 0
-    seen = set()
-    for row in shards:
-        check(isinstance(row, dict), f"perf.shards entry malformed: {row!r}")
-        for key in ("shard", "events_processed", "peak_queue_depth"):
-            check(key in row, f"perf.shards entry missing {key!r}: {row!r}")
-        check(row["shard"] not in seen,
-              f"perf.shards has duplicate shard index {row['shard']}")
-        seen.add(row["shard"])
-        ev_sum += row["events_processed"]
-        peak_max = max(peak_max, row["peak_queue_depth"])
-    check(ev_sum == perf["events_processed"],
-          f"perf.shards events sum {ev_sum} != "
-          f"perf.events_processed {perf['events_processed']}")
-    check(peak_max == perf["peak_queue_depth"],
-          f"max perf.shards peak {peak_max} != "
-          f"perf.peak_queue_depth {perf['peak_queue_depth']}")
 
-
-def validate_kernel_stress(report):
-    """The shard-scaling sweep must be present and deterministic: every
-    shard count replays the single-shard simulation exactly (identical
-    event and wire-delivery totals). Wall-clock speedup is gated
-    separately by compare_bench.py --shard-scaling, and only on hosts
-    with enough cores to demonstrate it."""
-    tables = {t["name"]: t for t in report["tables"]}
-    ss = tables.get("kernel_stress_shard_scaling")
-    check(ss is not None,
-          "kernel_stress report missing shard_scaling table")
-    cols = {name: i for i, name in enumerate(ss["header"])}
-    for col in ("shards", "events", "delivered", "wall_ms",
-                "events_per_sec", "speedup_vs_1"):
-        check(col in cols, f"shard_scaling missing column {col!r}")
-    counts = [int(row[cols["shards"]]) for row in ss["rows"]]
-    check(counts == [1, 2, 4, 8],
-          f"shard_scaling rows must sweep 1/2/4/8 shards, got {counts}")
-    events = {int(row[cols["events"]]) for row in ss["rows"]}
-    delivered = {int(row[cols["delivered"]]) for row in ss["rows"]}
-    check(len(events) == 1,
-          f"shard_scaling event totals differ across shard counts: "
-          f"{sorted(events)} (sharding changed the simulation)")
-    check(len(delivered) == 1,
-          f"shard_scaling delivery totals differ across shard counts: "
-          f"{sorted(delivered)}")
-    check(events.pop() > 0, "shard_scaling processed no events")
-    check(delivered.pop() > 0, "shard_scaling delivered no wire messages")
+def validate_provenance(report):
+    """Every report names the build that wrote it."""
+    prov = report.get("provenance")
+    check(isinstance(prov, dict), "missing or malformed provenance block")
+    for key in ("git_describe", "build_type"):
+        check(isinstance(prov.get(key), str) and prov[key],
+              f"provenance.{key} must be a non-empty string")
+    check(isinstance(prov.get("lto"), bool), "provenance.lto must be a bool")
+    compiler = prov.get("compiler")
+    check(isinstance(compiler, dict), "provenance.compiler must be an object")
+    for key in ("id", "version"):
+        check(isinstance(compiler.get(key), str) and compiler[key],
+              f"provenance.compiler.{key} must be a non-empty string")
 
 
 def validate_fault_storm(report):
@@ -687,7 +647,7 @@ def validate_cache_crossover(report):
 
 def same_timeseries(path_a, path_b):
     """Byte-identity gate: both reports must carry equal timeseries
-    blocks for every common run label (e.g. --shards 1 vs --shards 4)."""
+    blocks for every common run label (e.g. two same-seed runs)."""
     a = json.loads(Path(path_a).read_text())
     b = json.loads(Path(path_b).read_text())
     ts_a = {r["label"]: r["timeseries"] for r in a.get("runs", [])

@@ -1,18 +1,9 @@
 #!/usr/bin/env python3
-"""Regression gate: compare a fresh smart-bench-report/v2 JSON against a
+"""Regression gate: compare a fresh smart-bench-report/v3 JSON against a
 committed baseline from bench/baselines/.
 
 Usage:
     compare_bench.py BASELINE.json CURRENT.json [--p99-tol F] [--tput-tol F]
-    compare_bench.py --shard-scaling CURRENT.json [--speedup-floor F]
-
-The second form gates the sharded-engine scaling sweep in a
-kernel_stress report by itself (no baseline): the determinism gate
-(identical event/delivery totals at every shard count) always applies;
-the wall-clock gate (4-shard speedup >= --speedup-floor, default 1.6x)
-applies only when perf.host_cores >= 4 — a 1-core CI runner cannot
-demonstrate parallel speedup, and a wall-clock gate there would only
-measure scheduler noise.
 
 Both files must come from the same bench at the same --quick/--seed
 settings, so every gated metric is a deterministic function of virtual
@@ -26,7 +17,8 @@ time and the seed. Gates (exit 1 on violation):
     within --tput-tol of the baseline in either direction.
 
 Wall-clock numbers (perf.events_per_sec, wall_ms) vary with the host, so
-they are reported as warnings only. Span-attribution share drift > 10
+they are reported as warnings only. The provenance block (which build
+wrote the report) is not compared. Span-attribution share drift > 10
 percentage points per stage is also warn-only: it flags a shifted
 latency profile that the p99 gate alone might miss.
 """
@@ -52,8 +44,8 @@ def fail(msg):
 
 def load(path):
     report = json.loads(Path(path).read_text())
-    if report.get("schema") != "smart-bench-report/v2":
-        print(f"compare_bench: {path}: not a smart-bench-report/v2 file",
+    if report.get("schema") != "smart-bench-report/v3":
+        print(f"compare_bench: {path}: not a smart-bench-report/v3 file",
               file=sys.stderr)
         sys.exit(2)
     return report
@@ -166,83 +158,20 @@ def compare(base, cur, p99_tol, tput_tol):
                  f"({drift:+.2f}); latency profile shifted")
 
 
-def check_shard_scaling(report, speedup_floor):
-    """Gate the kernel_stress shard-scaling sweep (single-report mode)."""
-    tables = {t.get("name"): t for t in report.get("tables", [])}
-    ss = tables.get("kernel_stress_shard_scaling")
-    if ss is None:
-        fail("report has no kernel_stress_shard_scaling table")
-        return
-    cols = {name: i for i, name in enumerate(ss["header"])}
-    rows = {int(r[cols["shards"]]): r for r in ss["rows"]}
-
-    # Determinism gate: unconditional. Every shard count must replay the
-    # single-shard simulation exactly.
-    base = rows.get(1)
-    if base is None:
-        fail("shard_scaling table has no 1-shard row")
-        return
-    for n, r in sorted(rows.items()):
-        for col in ("events", "delivered"):
-            b, c = int(base[cols[col]]), int(r[cols[col]])
-            if c != b:
-                fail(f"{n} shards: {col} {c} != 1-shard {col} {b} "
-                     f"(sharding changed the simulation)")
-    print("compare_bench: ok: shard_scaling totals identical at "
-          f"{sorted(rows)} shards")
-
-    # Speedup gate: only on hosts that can physically demonstrate it.
-    cores = int(report.get("perf", {}).get("host_cores", 0))
-    row4 = rows.get(4)
-    speedup = float(row4[cols["speedup_vs_1"]]) if row4 is not None else 0.0
-    if cores < 4:
-        warn(f"host has {cores} cores; 4-shard speedup {speedup:.2f}x "
-             f"reported but not gated (need >= 4 cores to gate)")
-    elif row4 is None:
-        fail("shard_scaling table has no 4-shard row")
-    elif speedup < speedup_floor:
-        fail(f"4-shard speedup {speedup:.2f}x < {speedup_floor:.2f}x "
-             f"floor on a {cores}-core host")
-    else:
-        print(f"compare_bench: ok: 4-shard speedup {speedup:.2f}x "
-              f">= {speedup_floor:.2f}x ({cores} cores)")
-
-
 def main(argv):
     ap = argparse.ArgumentParser(
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("baseline")
-    ap.add_argument("current", nargs="?")
+    ap.add_argument("current")
     ap.add_argument("--p99-tol", type=float, default=0.10,
                     help="allowed relative p99 latency increase "
                          "(default 0.10)")
     ap.add_argument("--tput-tol", type=float, default=0.10,
                     help="allowed relative throughput decrease "
                          "(default 0.10)")
-    ap.add_argument("--shard-scaling", action="store_true",
-                    help="single-report mode: gate the shard-scaling "
-                         "sweep of a kernel_stress report")
-    ap.add_argument("--speedup-floor", type=float, default=1.6,
-                    help="minimum 4-shard wall-clock speedup, gated only "
-                         "when the host has >= 4 cores (default 1.6)")
     args = ap.parse_args(argv)
 
-    if args.shard_scaling:
-        if args.current is not None:
-            ap.error("--shard-scaling takes a single report")
-        cur = load(args.baseline)
-        check_shard_scaling(cur, args.speedup_floor)
-        bench = cur.get("bench", "?")
-        if FAIL:
-            print(f"compare_bench: {bench}: {len(FAIL)} regression(s), "
-                  f"{len(WARN)} warning(s)", file=sys.stderr)
-            return 1
-        print(f"compare_bench: {bench}: OK ({len(WARN)} warning(s))")
-        return 0
-
-    if args.current is None:
-        ap.error("CURRENT.json is required without --shard-scaling")
     base = load(args.baseline)
     cur = load(args.current)
     compare(base, cur, args.p99_tol, args.tput_tol)

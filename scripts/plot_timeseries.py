@@ -5,7 +5,7 @@ Usage:
     plot_timeseries.py REPORT.json [--run LABEL] [--series NAME ...]
                        [--csv OUT.csv] [--png OUT.png] [--list]
 
-Reads a smart-bench-report/v2 JSON (written with --json) and:
+Reads a smart-bench-report/v3 JSON (written with --json) and:
   --list           print every run label and series name, then exit
   --csv OUT.csv    export the selected run's series in long format
                    (same layout as the C++ side's *_timeseries.csv)

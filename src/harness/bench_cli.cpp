@@ -28,10 +28,9 @@ usage(const std::string &bench, int exit_code)
     os << "usage: " << bench
        << " [--quick] [--json PATH] [--out-dir DIR] [--seed N] "
           "[--trace-spans[=N]] [--flame PATH] [--perf]\n"
-          "  [--cache-mb N] [--cache-policy clock|fifo] [--no-cache] "
-          "[--shards N]\n"
+          "  [--cache-mb N] [--cache-policy clock|fifo] [--no-cache]\n"
           "  --quick        reduced sweep for CI / smoke runs\n"
-          "  --json PATH    write a smart-bench-report/v2 JSON report\n"
+          "  --json PATH    write a smart-bench-report/v3 JSON report\n"
           "  --out-dir DIR  directory for CSV/JSON outputs (default .)\n"
           "  --seed N       perturb workload RNG seeds (decimal; recorded "
           "in the JSON report)\n"
@@ -46,8 +45,6 @@ usage(const std::string &bench, int exit_code)
           "N MiB frame pool\n"
           "  --cache-policy P  cache eviction policy: clock or fifo\n"
           "  --no-cache     force the cache tier off\n"
-          "  --shards N     run the simulation on N parallel shards "
-          "(clamped to the blade count; byte-identical output at any N)\n"
           "  --ts-window W  windowed time-series sampling every W of "
           "virtual time (suffix us/ms, plain = ns; implies a JSON report "
           "and writes a per-run CSV)\n"
@@ -177,13 +174,6 @@ BenchCli::BenchCli(int argc, char **argv, std::string bench_name)
             cachePolicySet_ = true;
         } else if (arg == "--no-cache") {
             noCache_ = true;
-        } else if (arg == "--shards") {
-            shards_ = static_cast<std::uint32_t>(parseDecimal(
-                benchName_, "--shards", value(i, "--shards"), UINT32_MAX));
-            if (shards_ == 0) {
-                std::cerr << benchName_ << ": --shards N needs N >= 1\n";
-                usage(benchName_, 2);
-            }
         } else if (arg == "--ts-window") {
             tsWindowNs_ = parseTimeNs(benchName_, "--ts-window",
                                       value(i, "--ts-window"));
@@ -263,9 +253,6 @@ BenchCli::measurePerf() const
     p.ringInserts = kp.ringInserts;
     p.heapInserts = kp.heapInserts;
     p.hostCores = std::thread::hardware_concurrency();
-    p.shards.reserve(kp.shards.size());
-    for (const sim::KernelPerf::Shard &s : kp.shards)
-        p.shards.push_back({s.shard, s.eventsProcessed, s.peakQueueDepth});
     double wall_s = std::max(p.wallMs, 1e-3) / 1000.0;
     p.eventsPerSec = static_cast<double>(p.eventsProcessed) / wall_s;
     return p;
@@ -277,15 +264,13 @@ BenchCli::finish()
     PerfBlock perf = measurePerf();
     if (perf_) {
         std::printf("perf: %.1f ms wall, %llu events, %.3g events/s, "
-                    "peak queue depth %llu, inserts %llu ring / %llu heap, "
-                    "%zu shard(s)\n",
+                    "peak queue depth %llu, inserts %llu ring / %llu heap\n",
                     perf.wallMs,
                     static_cast<unsigned long long>(perf.eventsProcessed),
                     perf.eventsPerSec,
                     static_cast<unsigned long long>(perf.peakQueueDepth),
                     static_cast<unsigned long long>(perf.ringInserts),
-                    static_cast<unsigned long long>(perf.heapInserts),
-                    perf.shards.size());
+                    static_cast<unsigned long long>(perf.heapInserts));
     }
     if (!capturing())
         return 0;

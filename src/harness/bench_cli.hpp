@@ -6,7 +6,7 @@
  *
  * Flags:
  *   --quick        reduced sweep (CI / smoke runs)
- *   --json PATH    write a smart-bench-report/v2 JSON report to PATH;
+ *   --json PATH    write a smart-bench-report/v3 JSON report to PATH;
  *                  every captured run carries its time series (window
  *                  --ts-window, else kCaptureWindowNs)
  *   --out-dir DIR  directory for CSV/JSON outputs (default ".")
@@ -22,9 +22,6 @@
  *                  frame pool per runtime
  *   --cache-policy P  cache eviction policy: clock (default) or fifo
  *   --no-cache     force the cache tier off (overrides bench defaults)
- *   --shards N     run the simulation on N parallel shards (blades are
- *                  round-robined over shards; clamped to the blade
- *                  count; output is byte-identical at any N)
  *   --ts-window W  sample every registered metric into windowed time
  *                  series every W of virtual time (suffix us/ms; plain
  *                  number = ns; implies a JSON report; also writes
@@ -88,12 +85,6 @@ class BenchCli
     {
         cfg.spanSampleEvery = spanSampleEvery_;
     }
-
-    /** Shard count from --shards (default 1). */
-    std::uint32_t shards() const { return shards_; }
-
-    /** Apply --shards to a testbed config (call before building). */
-    void configureShards(TestbedConfig &cfg) const { cfg.shards = shards_; }
 
     /** Time-series window from --ts-window, ns (0 = plane off). */
     sim::Time tsWindowNs() const { return tsWindowNs_; }
@@ -161,7 +152,6 @@ class BenchCli
     bool perf_ = false;
     std::uint64_t seed_ = 0;
     std::uint32_t spanSampleEvery_ = 0;
-    std::uint32_t shards_ = 1;
     sim::Time tsWindowNs_ = 0;
     std::string tsOutPath_;
     bool noCache_ = false;

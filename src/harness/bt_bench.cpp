@@ -57,7 +57,6 @@ runBtBench(const BtBenchParams &params, RunCapture *capture)
                                                      : presets::baseline();
     cfg.smart.corosPerThread = params.corosPerThread;
     cfg.smart.withBenchTimescale();
-    cfg.shards = params.shards;
     configureCapture(cfg, capture);
     if (capture != nullptr)
         cfg.spanSampleEvery = params.spanSampleEvery;

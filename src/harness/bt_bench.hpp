@@ -52,8 +52,6 @@ struct BtBenchParams
     /** Span sampling stride (BenchCli --trace-spans); used only for
      *  captured runs, 0 = off. */
     std::uint32_t spanSampleEvery = 0;
-    /** Simulation shard count (BenchCli --shards); clamped to blades. */
-    std::uint32_t shards = 1;
 };
 
 struct BtBenchResult

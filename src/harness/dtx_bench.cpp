@@ -82,7 +82,6 @@ runDtxBench(const DtxBenchParams &params, RunCapture *capture,
     cfg.smart = params.smartOn ? presets::full() : presets::baseline();
     cfg.smart.corosPerThread = params.corosPerThread;
     cfg.smart.withBenchTimescale();
-    cfg.shards = params.shards;
     configureCapture(cfg, capture);
     if (capture != nullptr)
         cfg.spanSampleEvery = params.spanSampleEvery;

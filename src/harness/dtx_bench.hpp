@@ -43,8 +43,6 @@ struct DtxBenchParams
     /** Span sampling stride (BenchCli --trace-spans); used only for
      *  captured runs, 0 = off. */
     std::uint32_t spanSampleEvery = 0;
-    /** Simulation shard count (BenchCli --shards); clamped to blades. */
-    std::uint32_t shards = 1;
 };
 
 struct DtxBenchResult

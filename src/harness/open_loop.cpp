@@ -8,7 +8,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <numbers>
 
 #include "sim/timeline.hpp"
@@ -129,20 +128,9 @@ OpenLoopDriver::Tenant::Tenant(const TenantConfig &c,
 OpenLoopDriver::OpenLoopDriver(Testbed &tb, OpenLoopConfig cfg,
                                ServiceFn service)
     : tb_(tb),
-      home_(tb.numComputeBlades() > 0 ? tb.compute(0).sim() : tb.sim()),
+      home_(tb.sim()),
       cfg_(std::move(cfg)), service_(std::move(service))
 {
-    if (tb.shards() > 1 && tb.numComputeBlades() > 1) {
-        // Always-on (not assert): with several compute blades the
-        // arrival loops (on compute blade 0's shard) would park and
-        // resume worker coroutines living on other blades' shards.
-        // One compute blade shards fine: the driver is homed on its
-        // shard, so every queue/ticket touch is shard-local.
-        std::fprintf(stderr,
-                     "OpenLoopDriver: multiple compute blades require a "
-                     "single-shard simulation (shards=1)\n");
-        std::abort();
-    }
     assert(!cfg_.tenants.empty());
     assert(cfg_.queueCap > 0);
     tenants_.reserve(cfg_.tenants.size());

@@ -327,14 +327,8 @@ class OpenLoopDriver
     }
 
     Testbed &tb_;
-    /**
-     * The Simulator every piece of driver state lives on: compute blade
-     * 0's shard. Arrival loops, the ticket semaphore and the admission
-     * queues all run there, which keeps a single-compute-blade testbed
-     * shardable (the driver and all its workers share one shard; the
-     * memory blades stay on theirs). Multiple compute blades still
-     * require shards=1 — their workers would park cross-shard.
-     */
+    /** The cluster's Simulator: arrival loops, the ticket semaphore and
+     *  the admission queues all run on it. */
     sim::Simulator &home_;
     OpenLoopConfig cfg_;
     ServiceFn service_;

@@ -7,9 +7,47 @@
 
 #include <fstream>
 
+// Build provenance, defined for this file by src/harness/CMakeLists.txt
+// at configure time. Builds that compile the sources without that file
+// report "unknown".
+#ifndef SMART_GIT_DESCRIBE
+#define SMART_GIT_DESCRIBE "unknown"
+#endif
+#ifndef SMART_BUILD_TYPE
+#define SMART_BUILD_TYPE "unknown"
+#endif
+#ifndef SMART_LTO
+#define SMART_LTO 0
+#endif
+#ifndef SMART_COMPILER_ID
+#define SMART_COMPILER_ID "unknown"
+#endif
+#ifndef SMART_COMPILER_VERSION
+#define SMART_COMPILER_VERSION "unknown"
+#endif
+
 namespace smart::harness {
 
 using sim::Json;
+
+namespace {
+
+/** Which build produced the report: lets two reports be compared. */
+Json
+provenance()
+{
+    Json compiler = Json::object();
+    compiler.set("id", Json(SMART_COMPILER_ID));
+    compiler.set("version", Json(SMART_COMPILER_VERSION));
+    Json p = Json::object();
+    p.set("git_describe", Json(SMART_GIT_DESCRIBE));
+    p.set("build_type", Json(SMART_BUILD_TYPE));
+    p.set("lto", Json(SMART_LTO != 0));
+    p.set("compiler", std::move(compiler));
+    return p;
+}
+
+} // namespace
 
 void
 Reporter::addTable(const std::string &name, const sim::Table &t)
@@ -49,10 +87,11 @@ Json
 Reporter::toJson() const
 {
     Json root = Json::object();
-    root.set("schema", Json("smart-bench-report/v2"));
+    root.set("schema", Json("smart-bench-report/v3"));
     root.set("bench", Json(bench_));
     root.set("quick", Json(quick_));
     root.set("seed", Json(seed_));
+    root.set("provenance", provenance());
     Json tables = Json::array();
     for (const auto &[name, jt] : tables_)
         tables.push(jt);
@@ -75,15 +114,6 @@ Reporter::toJson() const
     perf.set("ring_inserts", Json(perf_.ringInserts));
     perf.set("heap_inserts", Json(perf_.heapInserts));
     perf.set("host_cores", Json(static_cast<std::uint64_t>(perf_.hostCores)));
-    Json shards = Json::array();
-    for (const PerfBlock::Shard &s : perf_.shards) {
-        Json row = Json::object();
-        row.set("shard", Json(static_cast<std::uint64_t>(s.shard)));
-        row.set("events_processed", Json(s.eventsProcessed));
-        row.set("peak_queue_depth", Json(s.peakQueueDepth));
-        shards.push(std::move(row));
-    }
-    perf.set("shards", std::move(shards));
     root.set("perf", std::move(perf));
     return root;
 }

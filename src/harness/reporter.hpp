@@ -3,7 +3,7 @@
  * Reporter: assembles a full machine-readable record of one bench
  * invocation — configuration, result tables, per-run metrics snapshots
  * and controller timelines — and serializes it as JSON
- * (schema "smart-bench-report/v2"). scripts/check_bench_json.py
+ * (schema "smart-bench-report/v3"). scripts/check_bench_json.py
  * validates the schema; EXPERIMENTS.md documents it.
  */
 
@@ -22,32 +22,22 @@ namespace smart::harness {
 
 /**
  * Wall-clock performance of one bench process: how hard the DES kernel
- * worked and how fast. Sourced from sim::collectKernelPerf(), so multi-
- * simulator (and multi-shard) benches aggregate correctly: events and
- * inserts sum across shards, peak depth is the max over per-shard peaks,
- * and the per-shard breakdown is kept. Embedded in every JSON report as
- * the "perf" block — the repo's perf trajectory is the history of these
- * blocks across PRs (see EXPERIMENTS.md).
+ * worked and how fast. Sourced from sim::collectKernelPerf(), so benches
+ * with several Simulators aggregate correctly: events and inserts sum
+ * across them, peak depth is the max over their peaks. Embedded in every
+ * JSON report as the "perf" block — the repo's perf trajectory is the
+ * history of these blocks across commits (see EXPERIMENTS.md).
  */
 struct PerfBlock
 {
     double wallMs = 0.0;
-    std::uint64_t eventsProcessed = 0; ///< summed across shards
+    std::uint64_t eventsProcessed = 0; ///< summed across Simulators
     double eventsPerSec = 0.0;
-    std::uint64_t peakQueueDepth = 0; ///< max over per-shard peaks
+    std::uint64_t peakQueueDepth = 0; ///< max over per-Simulator peaks
     std::uint64_t ringInserts = 0;
     std::uint64_t heapInserts = 0;
-    /** Host hardware threads (shard-scaling gates are conditional on
-     *  this: a 1-core runner cannot demonstrate speedup). */
+    /** Host hardware threads (context for wall-clock numbers). */
     std::uint32_t hostCores = 0;
-
-    struct Shard
-    {
-        std::uint32_t shard = 0;
-        std::uint64_t eventsProcessed = 0;
-        std::uint64_t peakQueueDepth = 0;
-    };
-    std::vector<Shard> shards; ///< per-shard breakdown (>= 1 row)
 };
 
 /** Builds the JSON report of one bench process. */

@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -39,13 +41,8 @@ struct TestbedConfig
     std::uint64_t bladeBytes = 1ull << 30; // 1 GB registered per blade
 
     /**
-     * Simulation shards (host threads): blades are distributed round-
-     * robin over this many Simulators, synchronized conservatively with
-     * the wire propagation latency as lookahead (see sim/wire.hpp).
-     * Clamped to the blade count; 1 (the default) is the classic
-     * single-threaded engine. Seeded results are byte-identical at any
-     * value. Incompatible with the fault plane and the membership plane
-     * (those hold cross-blade state on one shard).
+     * Must be 1: the cluster runs on one Simulator. Kept only so existing
+     * configs that set it still build; any other value aborts.
      */
     std::uint32_t shards = 1;
 
@@ -60,10 +57,9 @@ struct TestbedConfig
 
     /**
      * Windowed time-series sampling cadence (sim/timeline.hpp); 0
-     * disables the plane entirely. Works at any shard count: sampling
-     * happens at runUntil() barrier points (no simulation events), so
-     * the simulated run — and the exported block — is byte-identical at
-     * any --shards N.
+     * disables the plane entirely. Sampling happens between runUntil()
+     * chunks (no simulation events), so the simulated run is
+     * byte-identical with the plane on or off.
      */
     sim::Time tsWindowNs = 0;
 };
@@ -72,65 +68,47 @@ struct TestbedConfig
 class Testbed
 {
   public:
-    explicit Testbed(const TestbedConfig &cfg)
-        : cfg_(cfg),
-          group_(effectiveShards(cfg),
-                 static_cast<sim::Time>(cfg.hw.propagationNs))
+    explicit Testbed(const TestbedConfig &cfg) : cfg_(cfg)
     {
-        const std::uint32_t shards = group_.size();
-        if (cfg.spanSampleEvery > 0) {
-            for (std::uint32_t s = 0; s < shards; ++s)
-                spans_.push_back(std::make_unique<sim::SpanTracer>(
-                    group_.shard(s), cfg.spanSampleEvery,
-                    cfg.spanMaxRecords));
+        if (cfg.shards != 1) {
+            // Always on: a caller asking for parallel shards would get a
+            // single-threaded run while believing otherwise.
+            std::fprintf(stderr, "Testbed: shards must be 1 (got %u)\n",
+                         cfg.shards);
+            std::abort();
         }
-        std::uint32_t next_shard = 0;
-        auto pick = [&]() -> sim::Simulator & {
-            return group_.shard(next_shard++ % shards);
-        };
+        if (cfg.spanSampleEvery > 0)
+            spans_ = std::make_unique<sim::SpanTracer>(
+                sim_, cfg.spanSampleEvery, cfg.spanMaxRecords);
         for (std::uint32_t m = 0; m < cfg.memoryBlades; ++m) {
             memBlades_.push_back(std::make_unique<memblade::MemoryBlade>(
-                pick(), cfg.hw, "mb" + std::to_string(m), cfg.bladeBytes));
+                sim_, cfg.hw, "mb" + std::to_string(m), cfg.bladeBytes));
         }
         for (std::uint32_t c = 0; c < cfg.computeBlades; ++c) {
             computeBlades_.push_back(std::make_unique<SmartRuntime>(
-                pick(), cfg.hw, cfg.smart, cfg.threadsPerBlade,
+                sim_, cfg.hw, cfg.smart, cfg.threadsPerBlade,
                 "cb" + std::to_string(c)));
             for (auto &mb : memBlades_)
                 computeBlades_.back()->connect(*mb);
         }
         if (cfg.tsWindowNs > 0) {
-            timeline_ =
-                std::make_unique<sim::Timeline>(cfg.tsWindowNs, shards);
-            for (std::uint32_t s = 0; s < shards; ++s)
-                timeline_->attach(group_.shard(s));
+            timeline_ = std::make_unique<sim::Timeline>(cfg.tsWindowNs);
+            timeline_->attach(sim_);
         }
     }
 
-    /**
-     * Shard 0's Simulator: where setup-time scheduling belongs, and — at
-     * one shard (the default) — the whole cluster. Code that touches a
-     * specific blade's virtual time should use that blade's own sim().
-     */
-    sim::Simulator &sim() { return group_.shard(0); }
-    const sim::Simulator &sim() const { return group_.shard(0); }
+    /** The Simulator every blade of the cluster runs on. */
+    sim::Simulator &sim() { return sim_; }
+    const sim::Simulator &sim() const { return sim_; }
     const TestbedConfig &config() const { return cfg_; }
 
-    /** Number of simulation shards actually built. */
-    std::uint32_t shards() const { return group_.size(); }
-
-    /** The shard group driving every blade's Simulator. */
-    sim::ShardGroup &shardGroup() { return group_; }
-
     /**
-     * Advance the whole cluster to virtual time @p deadline (all shard
-     * clocks equal on return). The only way to advance time on a sharded
-     * testbed; equivalent to sim().runUntil(deadline) at one shard.
+     * Advance the whole cluster to virtual time @p deadline.
      *
      * When the time-series plane is on, the advance is chunked at window
-     * boundaries: each sample happens at a barrier point where every
-     * shard clock equals the window edge, so sampling adds no simulation
-     * events and the run stays byte-identical with the plane off.
+     * boundaries: each sample happens with the clock parked at the window
+     * edge, so sampling adds no simulation events and the run stays
+     * byte-identical with the plane off.
      */
     void
     runUntil(sim::Time deadline)
@@ -138,11 +116,11 @@ class Testbed
         if (timeline_) {
             while (timeline_->nextSampleAt() <= deadline) {
                 sim::Time b = timeline_->nextSampleAt();
-                group_.runUntil(b);
+                sim_.runUntil(b);
                 timeline_->sampleAt(b);
             }
         }
-        group_.runUntil(deadline);
+        sim_.runUntil(deadline);
     }
 
     std::uint32_t numMemBlades() const { return memBlades_.size(); }
@@ -158,76 +136,43 @@ class Testbed
     /** @return the time-series plane (nullptr unless tsWindowNs > 0). */
     sim::Timeline *timeline() { return timeline_.get(); }
 
-    /** @return shard 0's span tracer (nullptr unless spans are on). */
-    sim::SpanTracer *spanTracer()
-    {
-        return spans_.empty() ? nullptr : spans_[0].get();
-    }
+    /** @return the span tracer (nullptr unless spans are on). */
+    sim::SpanTracer *spanTracer() { return spans_.get(); }
 
-    /**
-     * Fold every shard's span records into shard 0's tracer and return
-     * it (nullptr unless spans are on). Call between phases, at capture
-     * time; repeated calls absorb only records added since.
-     */
-    sim::SpanTracer *
-    mergedSpanTracer()
-    {
-        if (spans_.empty())
-            return nullptr;
-        for (std::size_t s = 1; s < spans_.size(); ++s)
-            spans_[0]->absorb(*spans_[s]);
-        return spans_[0].get();
-    }
+    /** Alias of spanTracer(), kept for existing callers. */
+    sim::SpanTracer *mergedSpanTracer() { return spanTracer(); }
 
     /**
      * Lazily create (and install) the cluster's fault-injection plane.
      * Never called => no plane installed => zero overhead anywhere.
-     * Single-shard only (the plane's constructor enforces it).
      */
     sim::FaultPlane &
     faultPlane(std::uint64_t seed = 0x5eedfa17)
     {
         if (!faultPlane_)
-            faultPlane_ = std::make_unique<sim::FaultPlane>(sim(), seed);
+            faultPlane_ = std::make_unique<sim::FaultPlane>(sim_, seed);
         return *faultPlane_;
     }
 
-    /**
-     * Snapshot every registered metric at the current virtual time.
-     * Entries merge across shards in registration-stamp order, so the
-     * result is byte-identical at any shard count.
-     */
+    /** Snapshot every registered metric at the current virtual time. */
     sim::MetricsSnapshot
     snapshot() const
     {
-        std::vector<const sim::MetricsRegistry *> regs;
-        regs.reserve(group_.size());
-        for (std::uint32_t s = 0; s < group_.size(); ++s)
-            regs.push_back(&group_.shard(s).metrics());
-        return sim::MetricsRegistry::mergedSnapshot(sim().now(), regs);
+        return sim_.metrics().snapshot(sim_.now());
     }
 
   private:
-    static std::uint32_t
-    effectiveShards(const TestbedConfig &cfg)
-    {
-        std::uint32_t blades = cfg.memoryBlades + cfg.computeBlades;
-        std::uint32_t n = cfg.shards == 0 ? 1 : cfg.shards;
-        return n < blades ? n : (blades == 0 ? 1 : blades);
-    }
-
     TestbedConfig cfg_;
-    // Declared first: the group owns every shard Simulator, which all
-    // members below reference — it must outlive (and so be built before)
-    // all of them.
-    sim::ShardGroup group_;
+    // Declared first: every member below references it, so it must
+    // outlive (and so be built before) all of them.
+    sim::Simulator sim_;
     std::vector<std::unique_ptr<memblade::MemoryBlade>> memBlades_;
     std::vector<std::unique_ptr<SmartRuntime>> computeBlades_;
-    // Declared after group_: the plane unregisters on destruction.
+    // Declared after sim_: the plane unregisters on destruction.
     std::unique_ptr<sim::FaultPlane> faultPlane_;
-    // Declared after group_: tracers uninstall themselves on destruction.
-    std::vector<std::unique_ptr<sim::SpanTracer>> spans_;
-    // Declared after group_: uninstalls itself from every shard.
+    // Declared after sim_: the tracer uninstalls itself on destruction.
+    std::unique_ptr<sim::SpanTracer> spans_;
+    // Declared after sim_: uninstalls itself on destruction.
     std::unique_ptr<sim::Timeline> timeline_;
 };
 
@@ -276,8 +221,8 @@ captureRun(Testbed &tb, RunCapture *cap)
         return;
     cap->metrics = tb.snapshot();
     sim::Timeline *tl = tb.timeline();
-    if (tb.mergedSpanTracer() != nullptr) {
-        sim::SpanTracer &sp = *tb.mergedSpanTracer();
+    if (tb.spanTracer() != nullptr) {
+        sim::SpanTracer &sp = *tb.spanTracer();
         cap->spans = sp.attribution();
         if (tl != nullptr) {
             // Merge Timeline counter tracks + annotation instants into

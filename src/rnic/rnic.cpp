@@ -56,8 +56,7 @@ struct WirePacket
     /**
      * READ payload buffer: borrowed from the initiator's byte pool when
      * the request is built, filled by the responder at DMA time, landed
-     * and recycled by the initiator. Riding the round trip keeps the
-     * pool touched only on the initiator's shard thread.
+     * and recycled by the initiator.
      */
     std::vector<std::uint8_t> payload;
     std::uint64_t oldValue = 0; ///< prior memory value (CAS/FAA)
@@ -67,7 +66,7 @@ struct WirePacket
 
 /**
  * Wire payload delivering one WirePacket: runs inside the injected
- * delivery event on the destination shard, at the packet's dtime.
+ * delivery event, at the packet's dtime.
  */
 struct PacketDelivery
 {
@@ -440,7 +439,7 @@ Rnic::processOne(Rnic *target, WorkReq wr)
         pkt.payload = takeByteBuffer(); // responder fills it at DMA time
     pkt.wr = std::move(wr);
     sendPacket(*target, arrival, std::move(pkt));
-    // The WR continues in serveRequest() on the responder's shard.
+    // The WR continues in serveRequest() when the request arrives.
 }
 
 Task
@@ -448,13 +447,7 @@ Rnic::serveRequest(WirePacket pkt)
 {
     WorkReq &wr = pkt.wr;
     Rnic *initiator = pkt.initiator;
-    // Responder-side spans are recorded only when the initiator shares
-    // our shard: wr.traceSpan ids belong to the *initiator's* tracer, and
-    // a cross-shard record would race it. At one shard this matches the
-    // single-engine behaviour exactly.
-    sim::SpanTracer *sp =
-        (wr.traceSpan != 0 && &sim_ == &initiator->sim_) ? sim_.spans()
-                                                         : nullptr;
+    sim::SpanTracer *sp = wr.traceSpan != 0 ? sim_.spans() : nullptr;
     auto devSpan = [&](sim::Stage st, Time t0) {
         if (sp != nullptr)
             sp->record(spanTrack(*sp), st, wr.traceSpan, t0, sim_.now());
@@ -514,9 +507,6 @@ Rnic::serveRequest(WirePacket pkt)
         co_await pcieDma(bytes);
         devSpan(sim::Stage::Dma, t0);
         assert(wr.localBuf != nullptr);
-        // Cross-shard source read: the bytes behind wr.localBuf were
-        // written before the request was pushed onto the wire ring, and
-        // the ring's release/acquire pair orders them before this copy.
         std::memcpy(remote, wr.localBuf, wr.length);
         break;
       }
@@ -561,7 +551,7 @@ Rnic::serveRequest(WirePacket pkt)
     pkt.kind = PacketKind::Response;
     pkt.status = WcStatus::Success;
     sendPacket(*initiator, arrival, std::move(pkt));
-    // The WR continues in finishOne() on the initiator's shard.
+    // The WR continues in finishOne() when the response arrives.
 }
 
 Task

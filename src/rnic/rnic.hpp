@@ -330,8 +330,8 @@ class Rnic : public sim::FaultTarget
     /**
      * Initiator half of one WR: issue pipeline, ICM/MTT lookups, egress
      * serialization, then hand the request to the wire as a timestamped
-     * WirePacket. The WR continues in serveRequest() on the responder's
-     * shard; this frame dies at the wire.
+     * WirePacket. The WR continues in serveRequest() on delivery; this
+     * frame dies at the wire.
      */
     sim::Task processOne(Rnic *target, WorkReq wr);
 
@@ -339,14 +339,14 @@ class Rnic : public sim::FaultTarget
      * Responder half (this == the responder): pipeline, MR check,
      * translation, the operation itself against host bytes, egress — and
      * the response packet back over the wire. Runs inside the delivery
-     * event on the responder's shard.
+     * event.
      */
     sim::Task serveRequest(WirePacket pkt);
 
     /**
      * Completion half (this == the initiator): WQE-cache model,
-     * completion pipeline, CQE/payload landing, CQE delivery. Runs on
-     * the initiator's shard when the response packet arrives.
+     * completion pipeline, CQE/payload landing, CQE delivery. Runs when
+     * the response packet arrives.
      */
     sim::Task finishOne(WirePacket pkt);
 
@@ -414,7 +414,7 @@ class Rnic : public sim::FaultTarget
         return {*this, bytes};
     }
 
-    /** Post @p pkt for delivery on @p dst's shard at absolute @p dtime. */
+    /** Post @p pkt for delivery to @p dst at absolute @p dtime. */
     void sendPacket(Rnic &dst, sim::Time dtime, WirePacket &&pkt);
     void sendStart(std::uint32_t bytes, std::coroutine_handle<> h);
     void sendOccupy(std::uint32_t bytes, std::coroutine_handle<> h);
@@ -453,8 +453,8 @@ class Rnic : public sim::FaultTarget
     RnicConfig cfg_;
     std::string name_;
     std::string faultName_;
-    /** This adapter's wire identity: fixes cross-blade delivery
-     *  tie-breaks independently of shard assignment (see wire.hpp). */
+    /** This adapter's wire identity: fixes same-time delivery
+     *  tie-breaks (see wire.hpp). */
     sim::WireEndpoint wire_;
 
     sim::Resource pipeline_;

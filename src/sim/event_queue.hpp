@@ -30,7 +30,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <mutex>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -44,15 +43,13 @@ class EventQueue;
 
 /**
  * Process-wide tally of DES kernel work, aggregated across every
- * Simulator instance in the process — including per-shard breakdowns
- * when shards ran on real threads. Reporter/BenchCli read this via
+ * Simulator instance in the process. Reporter/BenchCli read this via
  * collectKernelPerf() to emit the perf block; benches with several
- * Simulators (scale-out sweeps, shard groups) still get one coherent
- * events/sec figure.
+ * Simulators (scale-out sweeps) still get one coherent events/sec figure.
  *
- * Totals: eventsProcessed/ringInserts/heapInserts sum across shards;
- * peakQueueDepth is the max over per-shard peaks (queues on different
- * shards never share storage, so summing peaks would be meaningless).
+ * eventsProcessed/ringInserts/heapInserts sum across queues;
+ * peakQueueDepth is the max over per-queue peaks (queues never share
+ * storage, so summing peaks would be meaningless).
  */
 struct KernelPerf
 {
@@ -61,25 +58,9 @@ struct KernelPerf
     /** Tier split of insertions (diagnostic: the ring should dominate). */
     std::uint64_t ringInserts = 0;
     std::uint64_t heapInserts = 0;
-
-    /** One row per shard index that ever hosted an EventQueue. */
-    struct Shard
-    {
-        std::uint32_t shard = 0;
-        std::uint64_t eventsProcessed = 0;
-        std::uint64_t peakQueueDepth = 0;
-        std::uint64_t ringInserts = 0;
-        std::uint64_t heapInserts = 0;
-    };
-    std::vector<Shard> shards;
 };
 
-/**
- * Aggregate kernel counters across all EventQueues, live and destroyed.
- * Counters are plain per-queue fields written only by the owning shard's
- * thread; call this while no simulation is advancing (between phases,
- * after runs) — exactly when perf is reported.
- */
+/** Aggregate kernel counters across all EventQueues, live and destroyed. */
 KernelPerf collectKernelPerf();
 
 /**
@@ -276,15 +257,6 @@ class EventQueue
      * for its whole lifetime. */
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
-
-    /**
-     * Attribute this queue's kernel counters to shard @p s in the
-     * process-wide perf aggregation (set by ShardGroup; defaults to 0).
-     */
-    void setShardIndex(std::uint32_t s) { shardIndex_ = s; }
-
-    /** Shard this queue's counters are attributed to. */
-    std::uint32_t shardIndex() const { return shardIndex_; }
 
     /**
      * Schedule @p cb to run at absolute virtual time @p when. Takes an
@@ -665,23 +637,20 @@ class EventQueue
     std::uint64_t peak_ = 0;
     std::uint64_t ringInserts_ = 0;
     std::uint64_t heapInserts_ = 0;
-    std::uint32_t shardIndex_ = 0;
 };
 
 namespace detail {
 
 /**
- * Registry behind collectKernelPerf(): live queues plus the final
- * counters of destroyed ones (per shard index). Registration happens at
- * Simulator construction/destruction — always on the setup thread, and
- * never on the per-event hot path, which now touches only per-queue
- * plain fields (single writer: the owning shard's thread).
+ * Registry behind collectKernelPerf(): live queues plus the summed
+ * counters of destroyed ones. Registration happens at Simulator
+ * construction/destruction, never on the per-event hot path, which
+ * touches only per-queue plain fields.
  */
 struct KernelPerfRegistry
 {
-    std::mutex mu;
     std::vector<EventQueue *> live;
-    std::vector<KernelPerf::Shard> retired;
+    KernelPerf retired;
 };
 
 inline KernelPerfRegistry &
@@ -691,62 +660,36 @@ kernelPerfRegistry()
     return r;
 }
 
-inline KernelPerf::Shard &
-shardRow(std::vector<KernelPerf::Shard> &rows, std::uint32_t shard)
+inline void
+addKernelPerf(KernelPerf &into, const EventQueue &q)
 {
-    for (KernelPerf::Shard &row : rows)
-        if (row.shard == shard)
-            return row;
-    rows.push_back(KernelPerf::Shard{shard, 0, 0, 0, 0});
-    return rows.back();
+    into.eventsProcessed += q.totalProcessed();
+    into.ringInserts += q.ringInserts();
+    into.heapInserts += q.heapInserts();
+    into.peakQueueDepth = std::max(into.peakQueueDepth, q.peakDepth());
 }
 
 } // namespace detail
 
 inline EventQueue::EventQueue()
 {
-    detail::KernelPerfRegistry &r = detail::kernelPerfRegistry();
-    std::lock_guard<std::mutex> l(r.mu);
-    r.live.push_back(this);
+    detail::kernelPerfRegistry().live.push_back(this);
 }
 
 inline EventQueue::~EventQueue()
 {
     detail::KernelPerfRegistry &r = detail::kernelPerfRegistry();
-    std::lock_guard<std::mutex> l(r.mu);
-    KernelPerf::Shard &row = detail::shardRow(r.retired, shardIndex_);
-    row.eventsProcessed += processed_;
-    row.ringInserts += ringInserts_;
-    row.heapInserts += heapInserts_;
-    row.peakQueueDepth = std::max(row.peakQueueDepth, peak_);
+    detail::addKernelPerf(r.retired, *this);
     std::erase(r.live, this);
 }
 
 inline KernelPerf
 collectKernelPerf()
 {
-    detail::KernelPerfRegistry &r = detail::kernelPerfRegistry();
-    std::lock_guard<std::mutex> l(r.mu);
-    KernelPerf out;
-    out.shards = r.retired;
-    for (const EventQueue *q : r.live) {
-        KernelPerf::Shard &row =
-            detail::shardRow(out.shards, q->shardIndex());
-        row.eventsProcessed += q->totalProcessed();
-        row.ringInserts += q->ringInserts();
-        row.heapInserts += q->heapInserts();
-        row.peakQueueDepth = std::max(row.peakQueueDepth, q->peakDepth());
-    }
-    std::sort(out.shards.begin(), out.shards.end(),
-              [](const KernelPerf::Shard &a, const KernelPerf::Shard &b) {
-                  return a.shard < b.shard;
-              });
-    for (const KernelPerf::Shard &s : out.shards) {
-        out.eventsProcessed += s.eventsProcessed;
-        out.ringInserts += s.ringInserts;
-        out.heapInserts += s.heapInserts;
-        out.peakQueueDepth = std::max(out.peakQueueDepth, s.peakQueueDepth);
-    }
+    const detail::KernelPerfRegistry &r = detail::kernelPerfRegistry();
+    KernelPerf out = r.retired;
+    for (const EventQueue *q : r.live)
+        detail::addKernelPerf(out, *q);
     return out;
 }
 

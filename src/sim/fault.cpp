@@ -6,8 +6,6 @@
 #include "sim/fault.hpp"
 
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 #include "sim/timeline.hpp"
@@ -33,14 +31,6 @@ faultKindName(FaultKind k)
 FaultPlane::FaultPlane(Simulator &sim, std::uint64_t seed)
     : sim_(sim), rng_(seed, 0xfa017c0de5eedULL)
 {
-    if (sim_.shardLink() != nullptr) {
-        // Always-on (not assert): injected faults mutate cross-blade
-        // state from one shard, which the conservative protocol does not
-        // order. Run fault scenarios single-shard.
-        std::fprintf(stderr, "FaultPlane: fault injection requires a "
-                             "single-shard simulation (shards=1)\n");
-        std::abort();
-    }
     assert(sim_.faultPlane() == nullptr &&
            "one fault plane per simulator");
     sim_.installFaultPlane(this);

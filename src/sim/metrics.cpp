@@ -6,7 +6,6 @@
 #include "sim/metrics.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 
 namespace smart::sim {
@@ -212,11 +211,10 @@ MetricsRegistry::add(Entry e)
     // from constructors, so any collision is a wiring bug.
     assert(std::none_of(entries_.begin(), entries_.end(),
                         [&](const Entry &o) { return o.id == e.id; }));
-    // Construction always happens on the setup thread (between phases of
-    // a sharded run), so the stamp order is the single-threaded
-    // construction order regardless of how blades map to shards.
-    static std::atomic<std::uint64_t> next{1};
-    e.stamp = next.fetch_add(1, std::memory_order_relaxed);
+    // Stamps increase in registration order, so entries_ stays sorted
+    // by stamp (unregisterOwner preserves order).
+    static std::uint64_t next = 1;
+    e.stamp = next++;
     // Counters may carry history from before registration (a component
     // re-registering after a reset window, or registered mid-run): the
     // baseline anchors windowed deltas at the registration point.
@@ -300,28 +298,6 @@ MetricsRegistry::snapshot(Time now) const
     snap.entries.reserve(entries_.size());
     for (const Entry &e : entries_)
         snap.entries.push_back(sample(e));
-    return snap;
-}
-
-MetricsSnapshot
-MetricsRegistry::mergedSnapshot(Time now,
-                                const std::vector<const MetricsRegistry *> &regs)
-{
-    std::vector<std::pair<std::uint64_t, SnapshotEntry>> keyed;
-    std::size_t total = 0;
-    for (const MetricsRegistry *r : regs)
-        total += r->entries_.size();
-    keyed.reserve(total);
-    for (const MetricsRegistry *r : regs)
-        for (const Entry &e : r->entries_)
-            keyed.emplace_back(e.stamp, sample(e));
-    std::sort(keyed.begin(), keyed.end(),
-              [](const auto &a, const auto &b) { return a.first < b.first; });
-    MetricsSnapshot snap;
-    snap.at = now;
-    snap.entries.reserve(keyed.size());
-    for (auto &[stamp, s] : keyed)
-        snap.entries.push_back(std::move(s));
     return snap;
 }
 

@@ -150,17 +150,6 @@ class MetricsRegistry
     MetricsSnapshot snapshot(Time now) const;
 
     /**
-     * Snapshot several registries (one per shard of a ShardGroup) as one.
-     * Entries are ordered by their process-global registration stamp, so
-     * the merged order equals single-registry registration order: the
-     * same cluster built at any shard count — including one — snapshots
-     * to byte-identical output. Call only between phases (no shard
-     * mutates metrics while this reads them).
-     */
-    static MetricsSnapshot
-    mergedSnapshot(Time now, const std::vector<const MetricsRegistry *> &regs);
-
-    /**
      * Visit every scalar metric (counters and gauges) as a double —
      * the tracer uses this to build its series list.
      */
@@ -178,7 +167,8 @@ class MetricsRegistry
     {
         const MetricId *id = nullptr;
         MetricKind kind = MetricKind::Counter;
-        /** Process-global registration stamp (cross-shard merge key). */
+        /** Process-global registration stamp: identifies one
+         *  registration (a re-registered id gets a new stamp). */
         std::uint64_t stamp = 0;
         /** Counter value at registration (windowed-delta baseline). */
         std::uint64_t baseline = 0;
@@ -200,7 +190,7 @@ class MetricsRegistry
         const Counter *counter = nullptr;
         std::function<double()> gauge;
         const LatencyHistogram *hist = nullptr;
-        /** Process-global registration order (mergedSnapshot sort key). */
+        /** Process-global registration order (see RawMetric::stamp). */
         std::uint64_t stamp = 0;
         /** Counter value at registration (see RawMetric::baseline). */
         std::uint64_t baseline = 0;

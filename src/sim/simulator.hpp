@@ -27,9 +27,8 @@ class Timeline;
 
 /**
  * Owns the virtual clock and the event queue, and keeps root coroutines
- * alive. One Simulator is one shard, advanced by exactly one OS thread at
- * a time; a standalone Simulator (no ShardLink) is the whole cluster on
- * one thread. Determinism follows from the stable event ordering plus the
+ * alive. One Simulator is the whole cluster, advanced by one thread.
+ * Determinism follows from the stable (time, seq) event ordering plus the
  * (dtime, srcId, seq) wire-injection discipline (see wire.hpp).
  */
 class Simulator
@@ -96,24 +95,16 @@ class Simulator
     void
     run()
     {
-        assert(link_ == nullptr &&
-               "grouped shards are driven via ShardGroup::runUntil");
         runLocalUpTo(kTimeNever - 1);
     }
 
     /**
      * Run until virtual time @p deadline; events after it remain queued.
-     * The clock is advanced to @p deadline on return. On a grouped shard
-     * this obeys the conservative horizon (normally reached through
-     * ShardGroup::runUntil, which drives all shards of the group).
+     * The clock is advanced to @p deadline on return.
      */
     void
     runUntil(Time deadline)
     {
-        if (link_ != nullptr) {
-            runUntilSharded(deadline);
-            return;
-        }
         runLocalUpTo(deadline);
         if (now_ < deadline)
             now_ = deadline;
@@ -212,30 +203,15 @@ class Simulator
         return faultTargets_;
     }
 
-    /** In-flight wire messages addressed to this shard (see wire.hpp). */
+    /** In-flight wire messages (see wire.hpp). */
     WireInbox &wireInbox() { return inbox_; }
-
-    /** The shard link, or nullptr on a standalone Simulator. */
-    ShardLink *shardLink() const { return link_; }
-
-    /** Shard index within the owning group (0 when standalone). */
-    std::uint32_t shardIndex() const { return shardIndex_; }
-
-    /** Called by ShardGroup when adopting this Simulator as a shard. */
-    void
-    installShardLink(ShardLink *link, std::uint32_t shard_index)
-    {
-        link_ = link;
-        shardIndex_ = shard_index;
-        events_.setShardIndex(shard_index);
-    }
 
   private:
     /**
      * Core loop: execute every local event and every wire delivery with
      * time <= @p deadline. The wire-inbox minimum bounds each pop because
-     * an event may send an intra-shard wire message landing inside the
-     * current segment; with an empty inbox (every workload that never
+     * an event may send a wire message landing inside the current
+     * segment; with an empty inbox (every workload that never
      * touches the wire) the extra cost is one member load + compare per
      * event.
      */
@@ -264,40 +240,6 @@ class Simulator
         }
     }
 
-    /**
-     * Grouped-shard loop: alternate between executing the window the
-     * other shards' lower bounds permit and publishing our own
-     *   lb = min(next local event, next inbox delivery, minOtherLb + L).
-     * Reading the neighbour bounds *before* draining the rings makes the
-     * published bound safe: any message that races past the poll was sent
-     * at or after its sender's current bound, hence lands at or beyond
-     * minOtherLb + L.
-     */
-    void
-    runUntilSharded(Time deadline)
-    {
-        ShardLink &lk = *link_;
-        const Time lookahead = lk.lookahead();
-        for (;;) {
-            const Time x = lk.minOtherLb();
-            lk.pollRings(inbox_);
-            const Time horizon =
-                x >= kTimeNever - lookahead ? kTimeNever : x + lookahead;
-            Time limit = deadline;
-            if (horizon != kTimeNever && horizon - 1 < limit)
-                limit = horizon - 1;
-            runLocalUpTo(limit);
-            const Time next =
-                std::min(events_.nextTime(), inbox_.minTime());
-            lk.publishLb(std::min(next, horizon));
-            if (next > deadline && horizon > deadline)
-                break;
-            lk.waitForChange(x);
-        }
-        if (now_ < deadline)
-            now_ = deadline;
-    }
-
     EventQueue events_;
     Time now_ = 0;
     std::vector<std::unique_ptr<Task>> rootTasks_;
@@ -307,8 +249,6 @@ class Simulator
     Timeline *timeline_ = nullptr;
     std::vector<FaultTarget *> faultTargets_;
     WireInbox inbox_;
-    ShardLink *link_ = nullptr;
-    std::uint32_t shardIndex_ = 0;
 };
 
 } // namespace smart::sim

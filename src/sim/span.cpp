@@ -108,33 +108,6 @@ SpanTracer::record(TrackId track, Stage stage, SpanId parent, Time start,
     records_.push_back(r);
 }
 
-void
-SpanTracer::absorb(SpanTracer &other)
-{
-    if (&other == this)
-        return;
-    const SpanId rec_off = static_cast<SpanId>(records_.size());
-    std::vector<TrackId> remap(other.tracks_.size() + 1, 0);
-    for (std::size_t i = 0; i < other.tracks_.size(); ++i)
-        remap[i + 1] = internTrack(other.tracks_[i].name,
-                                   other.tracks_[i].thread,
-                                   other.tracks_[i].device);
-    records_.reserve(records_.size() + other.records_.size());
-    for (SpanRecord r : other.records_) {
-        if (r.track != 0)
-            r.track = remap[r.track];
-        if (r.parent != 0)
-            r.parent += rec_off;
-        records_.push_back(r);
-    }
-    dropped_ += other.dropped_;
-    // Tracks stay: components cache interned TrackIds into @p other
-    // (e.g. Rnic::spanTrack_), and those must stay valid if recording
-    // continues after the capture.
-    other.records_.clear();
-    other.dropped_ = 0;
-}
-
 const std::string &
 SpanTracer::threadOf(const SpanRecord &r) const
 {

@@ -141,16 +141,6 @@ class SpanTracer
     void record(TrackId track, Stage stage, SpanId parent, Time start,
                 Time end_time);
 
-    /**
-     * Move every track and record of @p other into this tracer, remapping
-     * track ids and parent links. Used at capture time to fold the
-     * per-shard tracers of a ShardGroup into shard 0's tracer; @p other
-     * is left empty (and may keep recording afterwards). Call only
-     * between phases. May exceed this tracer's record cap — absorbing is
-     * a report-time operation, not a hot-path one.
-     */
-    void absorb(SpanTracer &other);
-
     /** @return the track of span @p id (0 for id 0). */
     TrackId
     trackOf(SpanId id) const

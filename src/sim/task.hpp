@@ -25,7 +25,7 @@
 namespace smart::sim {
 
 /**
- * Per-shard (thread-local) size-classed arena for coroutine frames. The
+ * Thread-local size-classed arena for coroutine frames. The
  * simulation spawns a short-lived detached Task per work request, so
  * frame allocation is on the hot path; an empty class refills by carving
  * from a 64 KiB slab, and freed frames are threaded onto intrusive
@@ -34,11 +34,8 @@ namespace smart::sim {
  * allocator in steady state (the old freelist-vector growth was the last
  * hot-path allocation, visible as spawn_churn's 0.123 allocs/1k events).
  *
- * Thread-locality matches the sharded engine: a frame is allocated and
- * freed on the shard thread that runs its coroutine. Slabs are
- * process-lifetime (registered in a global list, so leak checkers stay
- * quiet and a frame outliving its arena's thread remains valid) and are
- * never returned to the allocator.
+ * Slabs are process-lifetime (registered in a global list, so leak
+ * checkers stay quiet) and are never returned to the allocator.
  */
 class FrameArena
 {
@@ -123,8 +120,7 @@ class FrameArena
 
 /**
  * The frame allocator used by Task::promise_type: one FrameArena per
- * thread (i.e. per shard). constinit, so access is a plain TLS load with
- * no guard branch.
+ * thread. constinit, so access is a plain TLS load with no guard branch.
  */
 class FramePool
 {

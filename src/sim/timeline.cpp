@@ -14,45 +14,38 @@
 
 namespace smart::sim {
 
-Timeline::Timeline(Time window_ns, std::uint32_t num_shards)
-    : window_(window_ns)
+Timeline::Timeline(Time window_ns) : window_(window_ns)
 {
     assert(window_ > 0 && "timeline window must be positive");
-    annotations_.resize(num_shards == 0 ? 1 : num_shards);
 }
 
 Timeline::~Timeline()
 {
-    for (Simulator *s : sims_) {
-        if (s->timeline() == this)
-            s->installTimeline(nullptr);
-    }
+    if (sim_ != nullptr && sim_->timeline() == this)
+        sim_->installTimeline(nullptr);
 }
 
 void
 Timeline::attach(Simulator &sim)
 {
+    assert(sim_ == nullptr && "a Timeline samples one Simulator");
     sim.installTimeline(this);
-    sims_.push_back(&sim);
-    registries_.push_back(&sim.metrics());
-    if (annotations_.size() <= sim.shardIndex())
-        annotations_.resize(sim.shardIndex() + 1);
+    sim_ = &sim;
 }
 
 void
 Timeline::annotate(const Simulator &sim, std::string kind,
                    std::string target, std::string detail)
 {
-    assert(sim.shardIndex() < annotations_.size());
-    annotations_[sim.shardIndex()].push_back(Annotation{
-        sim.now(), std::move(kind), std::move(target), std::move(detail)});
+    annotations_.push_back(Annotation{sim.now(), std::move(kind),
+                                      std::move(target), std::move(detail)});
 }
 
 void
 Timeline::annotateAt(Time at, std::string kind, std::string target,
                      std::string detail)
 {
-    annotations_[0].push_back(
+    annotations_.push_back(
         Annotation{at, std::move(kind), std::move(target),
                    std::move(detail)});
 }
@@ -76,18 +69,13 @@ Timeline::sampleAt(Time now)
     t_.push_back(now);
     lastSample_ = now;
 
-    // Gather every registration from every shard, then walk them in
-    // registration-stamp order: the same cluster built at any shard
-    // count visits metrics in the same sequence, so series creation
-    // order — and every exported byte — is shard-count independent.
+    if (sim_ == nullptr)
+        return;
+    // The registry lists metrics in registration-stamp order, so series
+    // are created (and exported) in that order.
     std::vector<MetricsRegistry::RawMetric> raw;
-    for (const MetricsRegistry *reg : registries_) {
-        reg->forEachRaw([&raw](const MetricsRegistry::RawMetric &m) {
-            raw.push_back(m);
-        });
-    }
-    std::sort(raw.begin(), raw.end(),
-              [](const auto &a, const auto &b) { return a.stamp < b.stamp; });
+    sim_->metrics().forEachRaw(
+        [&raw](const MetricsRegistry::RawMetric &m) { raw.push_back(m); });
 
     for (const MetricsRegistry::RawMetric &m : raw) {
         if (filter_ && !filter_(*m.id, m.kind))
@@ -126,16 +114,14 @@ Timeline::sampleAt(Time now)
 std::vector<Annotation>
 Timeline::sortedAnnotations() const
 {
+    // Filled by insert rather than copy-constructed: the copy trips a
+    // GCC 12 -Wmaybe-uninitialized false positive in toJson().
     std::vector<Annotation> all;
-    std::size_t total = 0;
-    for (const auto &buf : annotations_)
-        total += buf.size();
-    all.reserve(total);
-    for (const auto &buf : annotations_)
-        all.insert(all.end(), buf.begin(), buf.end());
+    all.reserve(annotations_.size());
+    all.insert(all.end(), annotations_.begin(), annotations_.end());
     // Full-tuple sort: events that collide on every field are
-    // interchangeable, so the merged order is identical no matter which
-    // shard buffer each event landed in.
+    // interchangeable, so the exported order is a pure function of the
+    // logged set.
     std::sort(all.begin(), all.end(),
               [](const Annotation &a, const Annotation &b) {
                   return std::tie(a.at, a.kind, a.target, a.detail) <

@@ -8,14 +8,12 @@
  * (fault injections, membership changes, degradation-ladder transitions,
  * cache skew rotations, SLO burn events) on the same time axis.
  *
- * Shard-awareness: sampling happens only *between* phases of a
- * ShardGroup::runUntil (every shard parked, clocks equal), never from a
- * sampling coroutine — so enabling it adds zero simulation events and the
- * simulated run is byte-identical with the plane on or off, at any shard
- * count. Per-metric points merge across shard registries in registration-
- * stamp order (like MetricsRegistry::mergedSnapshot), and annotations are
- * buffered per shard then merged under a deterministic full-tuple sort,
- * so exported output is byte-identical at any --shards N.
+ * Sampling happens only *between* Simulator::runUntil calls (the
+ * Testbed chunks its advance at window edges), never from a sampling
+ * coroutine — so enabling it adds zero simulation events and the
+ * simulated run is byte-identical with the plane on or off. Series
+ * follow registration-stamp order and annotations export under a
+ * full-tuple sort, so the exported block is a pure function of the run.
  */
 
 #ifndef SMART_SIM_TIMELINE_HPP
@@ -63,19 +61,15 @@ class Timeline
     using Filter = std::function<bool(const MetricId &, MetricKind)>;
 
     /**
-     * Runs at every window boundary *before* metrics are sampled, on the
-     * barrier thread (all shards parked). Derived-signal producers (the
-     * SLO burn-rate detector) update their gauges here so the same
-     * window's sample sees them.
+     * Runs at every window boundary *before* metrics are sampled, outside
+     * the event loop. Derived-signal producers (the SLO burn-rate
+     * detector) update their gauges here so the same window's sample
+     * sees them.
      */
     using WindowHook = std::function<void(Time)>;
 
-    /**
-     * @param window_ns sampling cadence in virtual ns (must be > 0).
-     * @param num_shards annotation buffers to pre-size (attach() grows
-     *        them as needed; pass the shard count when known).
-     */
-    explicit Timeline(Time window_ns, std::uint32_t num_shards = 1);
+    /** @param window_ns sampling cadence in virtual ns (must be > 0). */
+    explicit Timeline(Time window_ns);
     ~Timeline();
 
     Timeline(const Timeline &) = delete;
@@ -83,8 +77,8 @@ class Timeline
 
     /**
      * Adopt @p sim: installs this plane's pointer (annotation emitters key
-     * off Simulator::timeline() being non-null) and adds its registry to
-     * the sampled set. Call once per shard, at setup time.
+     * off Simulator::timeline() being non-null) and samples its registry.
+     * Call once, at setup time.
      */
     void attach(Simulator &sim);
 
@@ -97,18 +91,14 @@ class Timeline
     /** First unsampled window boundary (lastSample + window). */
     Time nextSampleAt() const { return lastSample_ + window_; }
 
-    /**
-     * Log an event at @p sim's current time. Callable from inside event
-     * processing on any shard: each shard appends to its own buffer
-     * (indexed by shardIndex), merged deterministically at export.
-     */
+    /** Log an event at @p sim's current time (inside event processing). */
     void annotate(const Simulator &sim, std::string kind,
                   std::string target, std::string detail);
 
     /**
-     * Log an event at an explicit time from the setup/barrier thread
-     * (outside any shard's event loop) — e.g. a workload rotation whose
-     * time is known statically, or a burn transition from a window hook.
+     * Log an event at an explicit time from outside the event loop —
+     * e.g. a workload rotation whose time is known statically, or a burn
+     * transition from a window hook.
      */
     void annotateAt(Time at, std::string kind, std::string target,
                     std::string detail);
@@ -124,7 +114,7 @@ class Timeline
 
     /**
      * Sample one window ending at @p now (call with now == nextSampleAt(),
-     * all shards parked at that time). Runs hooks, then appends one point
+     * the clock parked at that time). Runs hooks, then appends one point
      * to every live series: counters report the window delta (reset-aware,
      * and baselined at registration so a series born mid-run starts from
      * its first window's growth, not its lifetime total), gauges report
@@ -143,8 +133,7 @@ class Timeline
      * born mid-run start late); counter/gauge points are numbers,
      * histogram points are {count, mean, min, max, p50, p99, p999}.
      * Series are ordered by registration stamp, annotations by
-     * (t_ns, kind, target, detail) — both orders are shard-count
-     * independent, so the block is byte-identical at any --shards N.
+     * (t_ns, kind, target, detail).
      */
     Json toJson() const;
 
@@ -166,7 +155,7 @@ class Timeline
      */
     void appendChromeEvents(Json &events) const;
 
-    /** Merged, fully sorted annotation log (what toJson exports). */
+    /** Fully sorted annotation log (what toJson exports). */
     std::vector<Annotation> sortedAnnotations() const;
 
   private:
@@ -192,15 +181,13 @@ class Timeline
     Time lastSample_ = 0;
     Filter filter_ = &Timeline::defaultFilter;
     std::vector<WindowHook> hooks_;
-    std::vector<Simulator *> sims_;
-    std::vector<const MetricsRegistry *> registries_;
+    Simulator *sim_ = nullptr;
     /** Sample times (window ends), one per window. */
     std::vector<Time> t_;
-    /** Keyed by registration stamp: stamp order == registration order
-     *  regardless of the shard the metric lives on. */
+    /** Keyed by registration stamp (stamp order == registration order). */
     std::map<std::uint64_t, Series> series_;
-    /** One buffer per shard; merged + sorted at export. */
-    std::vector<std::vector<Annotation>> annotations_;
+    /** In emission order; sorted at export. */
+    std::vector<Annotation> annotations_;
 };
 
 } // namespace smart::sim

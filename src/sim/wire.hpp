@@ -1,28 +1,15 @@
 /**
  * @file
- * Explicit cross-shard wire mailboxes and the conservative-lookahead
- * shard group.
+ * Wire mailboxes: how blade-to-blade traffic reaches the event queue.
  *
  * Every interaction that crosses a simulated wire goes through a
- * timestamped WireMsg delivered to the destination Simulator's WireInbox,
- * never by scheduling directly into a peer EventQueue. Messages carry a
- * globally-ordered (deliveryTime, srcId, perSourceSeq) key; the inbox
- * holds them until the destination clock reaches deliveryTime and then
- * injects them — sorted by that key — as ordinary events. Because the
- * key and the injection discipline are independent of how blades are
- * assigned to shards, a seeded run produces byte-identical output at any
- * shard count, including 1 (where the same inbox path is used without
- * any synchronization).
- *
- * Shards synchronize conservatively (null-message style): shard i may
- * execute events strictly below min(other shards' lower bound) +
- * lookahead, where lookahead is the modelled wire propagation latency.
- * Each shard publishes a monotone lower bound on its future sends,
- *   lb_i = min(nextLocalEvent, nextInboxDelivery, minOtherLb + L),
- * so idle shards chase their neighbours (+L) instead of claiming
- * "never" — a woken idle shard can therefore never send into a peer's
- * past. There is no global barrier inside a run; shards only park when
- * their window is exhausted.
+ * timestamped WireMsg parked in the Simulator's WireInbox, never by
+ * scheduling directly into the EventQueue. Messages carry a
+ * (deliveryTime, srcId, perSourceSeq) key; the inbox holds them until the
+ * clock reaches deliveryTime and then injects them, sorted by that key,
+ * as ordinary events. The injection point fixes the FIFO sequence each
+ * delivery draws in the queue, so this discipline decides the order of
+ * same-time events and is part of the simulated result (DESIGN.md §14).
  */
 
 #ifndef SMART_SIM_WIRE_HPP
@@ -30,14 +17,9 @@
 
 #include <atomic>
 #include <cassert>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <memory>
-#include <mutex>
 #include <new>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -48,8 +30,6 @@
 namespace smart::sim {
 
 class Simulator;
-class ShardGroup;
-class ShardLink;
 
 /**
  * One timestamped message crossing a simulated wire. Type-erased like
@@ -202,9 +182,9 @@ class WireMsg
 /**
  * Per-Simulator holding pen for in-flight wire messages, ordered by
  * (dtime, srcId, seq). The run loop injects messages into the event
- * queue only when the local clock first reaches their delivery time —
- * never eagerly — so injected events draw their local FIFO sequence at a
- * moment that is invariant across shard assignments.
+ * queue only when the clock first reaches their delivery time — never
+ * eagerly — so each injected event draws its FIFO sequence after every
+ * local event scheduled earlier for a strictly smaller time has run.
  */
 class WireInbox
 {
@@ -364,192 +344,9 @@ class WireInbox
 };
 
 /**
- * Bounded SPSC ring carrying WireMsgs between one ordered shard pair.
- * Producer and consumer indices live on separate cache lines; payloads
- * transfer ownership through the release store on tail_ / acquire load
- * on head_ pair.
- */
-class SpscRing
-{
-  public:
-    static constexpr std::size_t kCapacity = 1024;
-
-    SpscRing() = default;
-    SpscRing(const SpscRing &) = delete;
-    SpscRing &operator=(const SpscRing &) = delete;
-
-    ~SpscRing()
-    {
-        WireMsg m;
-        while (tryPop(m))
-            m = WireMsg{};
-    }
-
-    bool
-    tryPush(WireMsg &&m)
-    {
-        std::uint64_t t = tail_.load(std::memory_order_relaxed);
-        std::uint64_t h = head_.load(std::memory_order_acquire);
-        if (t - h == kCapacity)
-            return false;
-        ::new (slot(t)) WireMsg(std::move(m));
-        tail_.store(t + 1, std::memory_order_release);
-        return true;
-    }
-
-    bool
-    tryPop(WireMsg &out)
-    {
-        std::uint64_t h = head_.load(std::memory_order_relaxed);
-        std::uint64_t t = tail_.load(std::memory_order_acquire);
-        if (h == t)
-            return false;
-        WireMsg *m = std::launder(reinterpret_cast<WireMsg *>(slot(h)));
-        out = std::move(*m);
-        m->~WireMsg();
-        head_.store(h + 1, std::memory_order_release);
-        return true;
-    }
-
-    /** Producer-side or consumer-side occupancy probe (racy, advisory). */
-    bool
-    maybeNonEmpty() const noexcept
-    {
-        return head_.load(std::memory_order_relaxed) !=
-               tail_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    void *
-    slot(std::uint64_t i) noexcept
-    {
-        return buf_ + (i % kCapacity) * sizeof(WireMsg);
-    }
-
-    alignas(64) std::atomic<std::uint64_t> tail_{0};
-    alignas(64) std::atomic<std::uint64_t> head_{0};
-    alignas(alignof(WireMsg)) unsigned char buf_[kCapacity *
-                                                 sizeof(WireMsg)];
-};
-
-/**
- * Per-shard handle into a ShardGroup: inbound rings, the published
- * lower-bound slot, and the horizon-wait machinery. Installed on the
- * shard's Simulator by ShardGroup; absent (nullptr) on standalone
- * Simulators, whose run loops then skip all synchronization.
- */
-class ShardLink
-{
-  public:
-    std::uint32_t shardIndex() const noexcept { return me_; }
-    Time lookahead() const noexcept;
-
-    /** min over all other shards' published lower bounds (acquire). */
-    Time minOtherLb() const noexcept;
-
-    /** Drain every inbound ring into @p inbox. */
-    void pollRings(WireInbox &inbox);
-
-    /**
-     * Publish a monotone lower bound on this shard's future send times:
-     * no message from this shard will carry dtime < t + lookahead.
-     * No-op unless t exceeds the previously published bound.
-     */
-    void publishLb(Time t);
-
-    /**
-     * Enqueue @p m to shard @p dst. Blocks (draining own inbound rings
-     * to break push-push cycles) while the ring is full.
-     */
-    void sendRemote(std::uint32_t dst, WireMsg &&m, WireInbox &own_inbox);
-
-    /**
-     * Park until another shard's lb rises above @p x_prev or an inbound
-     * ring becomes non-empty. Spin/yield first, then a timed CV wait
-     * (publishers notify when waiters are registered).
-     */
-    void waitForChange(Time x_prev);
-
-  private:
-    friend class ShardGroup;
-    ShardLink(ShardGroup *g, std::uint32_t me) : g_(g), me_(me) {}
-
-    bool anyInbound() const noexcept;
-
-    ShardGroup *g_;
-    std::uint32_t me_;
-};
-
-/**
- * A set of Simulators (one per shard) advanced together on real host
- * threads under the conservative horizon protocol. Shard 0 always runs
- * on the caller's thread; shards 1..n-1 on persistent workers parked
- * between phases. With size()==1 no threads are created and runUntil()
- * is a plain inline call — the single-shard hot path is byte- and
- * perf-identical to an unsharded Simulator.
- *
- * A "phase" is one runUntil() call: between phases every worker is
- * parked, so the caller may freely mutate any shard's state (setup,
- * metric resets, table loads) exactly as single-threaded code would.
- */
-class ShardGroup
-{
-  public:
-    /**
-     * @param shards    number of shards (>= 1)
-     * @param lookahead minimum cross-shard wire latency, ns (> 0 when
-     *                  shards > 1; every wire send must carry
-     *                  dtime >= sender now + lookahead)
-     */
-    ShardGroup(std::uint32_t shards, Time lookahead);
-    ~ShardGroup();
-
-    ShardGroup(const ShardGroup &) = delete;
-    ShardGroup &operator=(const ShardGroup &) = delete;
-
-    std::uint32_t size() const noexcept { return n_; }
-    Time lookahead() const noexcept { return lookahead_; }
-
-    Simulator &shard(std::uint32_t i);
-    const Simulator &shard(std::uint32_t i) const;
-
-    /** Advance every shard to @p deadline (clocks equal on return). */
-    void runUntil(Time deadline);
-
-  private:
-    friend class ShardLink;
-
-    struct alignas(64) LbSlot
-    {
-        std::atomic<Time> lb{0};
-    };
-
-    SpscRing &channel(std::uint32_t src, std::uint32_t dst);
-    void workerMain(std::uint32_t idx);
-
-    std::uint32_t n_;
-    Time lookahead_;
-    std::vector<std::unique_ptr<Simulator>> sims_;
-    std::vector<std::unique_ptr<ShardLink>> links_;
-    std::vector<LbSlot> lbs_;
-    /** channels_[dst * n_ + src]; unused diagonal stays null. */
-    std::vector<std::unique_ptr<SpscRing>> channels_;
-
-    std::mutex mu_;
-    std::condition_variable cv_;
-    std::uint64_t phaseGen_ = 0;
-    Time phaseDeadline_ = 0;
-    std::uint32_t phaseDone_ = 0;
-    bool stop_ = false;
-    std::atomic<std::uint32_t> waiters_{0};
-    std::vector<std::thread> threads_;
-};
-
-/**
  * A named sender on the wire: owns a process-globally ordered source id
- * and the per-source delivery sequence. Construction order (always on
- * the setup thread) fixes srcId, so ids — and with them all same-time
- * delivery tie-breaks — do not depend on shard assignment.
+ * and the per-source delivery sequence. Construction order fixes srcId,
+ * and with it every same-time delivery tie-break.
  */
 class WireEndpoint
 {
@@ -562,10 +359,11 @@ class WireEndpoint
     std::uint32_t srcId() const noexcept { return srcId_; }
 
     /**
-     * Send @p payload for delivery on @p dst's shard at absolute virtual
-     * time @p dtime (>= sender now + group lookahead when @p dst is on
-     * another shard). The payload's operator() runs on the destination
-     * shard inside the injected delivery event.
+     * Send @p payload for delivery at absolute virtual time @p dtime
+     * (>= now). @p dst must be the sender's own Simulator: one Simulator
+     * holds the whole cluster. The payload's operator() runs inside the
+     * injected delivery event. A past-dated or cross-Simulator send
+     * aborts (always on, not an assert).
      */
     template <typename P>
     void

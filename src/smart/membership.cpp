@@ -8,8 +8,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "sim/timeline.hpp"
@@ -37,14 +35,6 @@ MembershipPlane::MembershipPlane(sim::Simulator &sim, Config cfg,
                                  std::string name)
     : sim_(sim), cfg_(cfg), name_(std::move(name)), view_(sim, name_)
 {
-    if (sim_.shardLink() != nullptr) {
-        // Always-on (not assert): reconfiguration copies bytes between
-        // blades and fences epochs from one shard mid-run.
-        std::fprintf(stderr, "MembershipPlane: elastic membership "
-                             "requires a single-shard simulation "
-                             "(shards=1)\n");
-        std::abort();
-    }
     assert(cfg_.partitions > 0);
     assert(cfg_.copyChunkBytes > 0);
     partBlade_.assign(cfg_.partitions, kNoBlade);

@@ -3,7 +3,7 @@
  * Unit tests for the observability layer: MetricsRegistry registration /
  * snapshot / delta / unregistration, snapshot JSON round-trip, histogram
  * bucket boundary behaviour, and a captured Testbed run recording the
- * adaptive-controller timelines (C_max, t_max) at any shard count.
+ * adaptive-controller timelines (C_max, t_max) identically on repeat.
  */
 
 #include <gtest/gtest.h>
@@ -301,9 +301,9 @@ findSeries(const sim::Json &ts, const std::string &name,
     return nullptr;
 }
 
-/** A captured 10 ms credit-throttled read run at @p shards shards. */
+/** A captured 10 ms credit-throttled read run. */
 RunCapture
-controllerRun(std::uint32_t shards)
+controllerRun()
 {
     TestbedConfig cfg;
     cfg.computeBlades = 1;
@@ -311,7 +311,6 @@ controllerRun(std::uint32_t shards)
     cfg.threadsPerBlade = 4;
     cfg.bladeBytes = 1 << 20;
     cfg.smart = presets::workReqThrot().withBenchTimescale();
-    cfg.shards = shards;
     RunCapture cap;
     configureCapture(cfg, &cap);
     Testbed tb(cfg);
@@ -327,7 +326,7 @@ controllerRun(std::uint32_t shards)
 
 TEST(CaptureTimeline, RecordsControllerSeries)
 {
-    RunCapture cap = controllerRun(1);
+    RunCapture cap = controllerRun();
     const sim::Json &ts = cap.timeseries;
     ASSERT_TRUE(ts.isObject());
     EXPECT_EQ(ts.find("window_ns")->asUint(), kCaptureWindowNs);
@@ -352,7 +351,7 @@ TEST(CaptureTimeline, RecordsControllerSeries)
     EXPECT_EQ(findSeries(ts, "smart.ctrl.credit_cmax", "4"), nullptr);
 }
 
-TEST(CaptureTimeline, ControllerSeriesIdenticalAcrossShards)
+TEST(CaptureTimeline, ControllerSeriesIdenticalAcrossRepeats)
 {
     auto controller = [](const RunCapture &cap) {
         std::string out;
@@ -361,9 +360,9 @@ TEST(CaptureTimeline, ControllerSeriesIdenticalAcrossShards)
                 out += s.dump(0) + "\n";
         return out;
     };
-    std::string one = controller(controllerRun(1));
+    std::string one = controller(controllerRun());
     EXPECT_NE(one.find("smart.ctrl.credit_cmax"), std::string::npos);
-    EXPECT_EQ(one, controller(controllerRun(2)));
+    EXPECT_EQ(one, controller(controllerRun()));
 }
 
 // ------------------------------------------------------- BenchCli flags
