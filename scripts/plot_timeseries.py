@@ -3,26 +3,26 @@
 
 Usage:
     plot_timeseries.py REPORT.json [--run LABEL] [--series NAME ...]
-                       [--csv OUT.csv] [--png OUT.png] [--list]
+                       [--png OUT.png] [--list]
 
 Reads a smart-bench-report/v3 JSON (written with --json) and:
   --list           print every run label and series name, then exit
-  --csv OUT.csv    export the selected run's series in long format
-                   (same layout as the C++ side's *_timeseries.csv)
   --png OUT.png    render throughput / violation-fraction / burn-rate
                    panels with annotation markers (needs matplotlib;
                    exits 0 with a note when it is unavailable)
-Without --csv/--png it prints a per-window summary table to stdout.
+Without --png it prints a per-window summary table to stdout. For the
+time series as long-format CSV, use scripts/report_csv.py.
 
 Stdlib-only except for the optional matplotlib import behind --png.
 """
 
 import argparse
-import csv
 import json
 import signal
 import sys
 from pathlib import Path
+
+from report_csv import labels_text
 
 # Die quietly when stdout is a closed pipe (e.g. `... --list | head`).
 signal.signal(signal.SIGPIPE, signal.SIG_DFL)
@@ -41,10 +41,6 @@ def load_runs(path):
         fail(f"{path}: no run carries a timeseries block "
              "(was the bench run with --json?)")
     return report, runs
-
-
-def labels_text(labels):
-    return ";".join(f"{k}={v}" for k, v in sorted(labels.items()))
 
 
 def series_key(s):
@@ -66,29 +62,6 @@ def select(ts, names):
     if not sel:
         fail(f"no series match {names!r}")
     return sel
-
-
-def write_csv(ts, label, sel, out):
-    with open(out, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["label", "t_ns", "name", "labels", "kind", "value",
-                    "count", "mean", "min", "max", "p50", "p99", "p999"])
-        for s in sel:
-            lt = labels_text(s["labels"])
-            for i, v in enumerate(s["points"]):
-                t = ts["t_ns"][s["start"] + i]
-                if s["kind"] == "histogram":
-                    w.writerow([label, t, s["name"], lt, s["kind"], "",
-                                v["count"], v["mean"], v["min"], v["max"],
-                                v["p50"], v["p99"], v["p999"]])
-                else:
-                    w.writerow([label, t, s["name"], lt, s["kind"], v,
-                                "", "", "", "", "", "", ""])
-        for a in ts["annotations"]:
-            w.writerow([label, a["t_ns"], "!annotation", a["target"],
-                        a["kind"], a["detail"],
-                        "", "", "", "", "", "", ""])
-    print(f"wrote {out}")
 
 
 def print_table(ts, sel):
@@ -116,7 +89,7 @@ def render_png(ts, label, out):
         import matplotlib.pyplot as plt
     except ImportError:
         print("plot_timeseries: matplotlib unavailable; skipping "
-              f"{out} (CSV/stdout output still works)")
+              f"{out} (stdout output still works)")
         return
     t_ms = [t / 1e6 for t in ts["t_ns"]]
     panels = [
@@ -158,7 +131,6 @@ def main(argv):
     ap.add_argument("--run", help="run label (default: first with data)")
     ap.add_argument("--series", action="append", default=[],
                     help="series name or prefix filter (repeatable)")
-    ap.add_argument("--csv", help="write long-format CSV here")
     ap.add_argument("--png", help="render panels here (matplotlib)")
     ap.add_argument("--list", action="store_true",
                     help="list run labels + series names and exit")
@@ -180,11 +152,9 @@ def main(argv):
         fail(f"run {label!r} not found; have: {', '.join(runs)}")
     ts = runs[label]
     sel = select(ts, args.series)
-    if args.csv:
-        write_csv(ts, label, sel, args.csv)
     if args.png:
         render_png(ts, label, args.png)
-    if not args.csv and not args.png:
+    else:
         print_table(ts, sel)
     return 0
 

@@ -28,10 +28,12 @@ usage(const std::string &bench, int exit_code)
     os << "usage: " << bench
        << " [--quick] [--json PATH] [--out-dir DIR] [--seed N] "
           "[--trace-spans[=N]] [--flame PATH] [--perf]\n"
-          "  [--cache-mb N] [--cache-policy clock|fifo] [--no-cache]\n"
+          "  [--cache-mb N] [--cache-policy clock|fifo] [--no-cache] "
+          "[--ts-window W]\n"
           "  --quick        reduced sweep for CI / smoke runs\n"
           "  --json PATH    write a smart-bench-report/v3 JSON report\n"
-          "  --out-dir DIR  directory for CSV/JSON outputs (default .)\n"
+          "  --out-dir DIR  directory for the default JSON report and "
+          "trace files (default .)\n"
           "  --seed N       perturb workload RNG seeds (decimal; recorded "
           "in the JSON report)\n"
           "  --trace-spans[=N]  record per-op latency spans, sampling "
@@ -47,9 +49,9 @@ usage(const std::string &bench, int exit_code)
           "  --no-cache     force the cache tier off\n"
           "  --ts-window W  windowed time-series sampling every W of "
           "virtual time (suffix us/ms, plain = ns; implies a JSON report "
-          "and writes a per-run CSV)\n"
-          "  --ts-out PATH  concatenate every run's time-series CSV "
-          "into PATH\n";
+          "and writes a Perfetto counter-track trace per captured run)\n"
+          "CSVs are derived from the JSON report: "
+          "scripts/report_csv.py REPORT.json OUT_DIR\n";
     std::exit(exit_code);
 }
 
@@ -177,8 +179,6 @@ BenchCli::BenchCli(int argc, char **argv, std::string bench_name)
         } else if (arg == "--ts-window") {
             tsWindowNs_ = parseTimeNs(benchName_, "--ts-window",
                                       value(i, "--ts-window"));
-        } else if (arg == "--ts-out") {
-            tsOutPath_ = value(i, "--ts-out");
         } else if (arg == "--perf") {
             perf_ = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -229,7 +229,6 @@ void
 BenchCli::addTable(const std::string &name, const sim::Table &t)
 {
     t.print();
-    t.writeCsv(outDir_ + "/" + name + ".csv");
     reporter_->addTable(name, t);
 }
 
@@ -277,36 +276,12 @@ BenchCli::finish()
     reporter_->setPerf(perf);
     int rc = 0;
     std::string folded; // all captures, label-prefixed, one flame file
-    std::string tsAll;  // all captures' time-series CSV, one header
     // Every captured run samples a time series into the report; the
-    // per-run CSV and trace files are written only when asked for.
-    const bool tsFiles = tsWindowNs_ > 0;
+    // per-run trace files are written only when asked for.
+    const bool traceFiles = tsWindowNs_ > 0 || spanSampleEvery_ > 0;
     for (const RunCapture &cap : captures_) {
         reporter_->addRun(cap);
-        if (tsFiles && !cap.timeseriesCsv.empty()) {
-            std::string path = outDir_ + "/" + benchName_ + "_" +
-                               fileSafe(cap.label) + "_timeseries.csv";
-            std::ofstream os(path);
-            os << cap.timeseriesCsv;
-            if (!os) {
-                std::cerr << benchName_ << ": failed to write '" << path
-                          << "'\n";
-                rc = 1;
-            } else {
-                std::cout << "timeseries: " << path << "\n";
-            }
-            if (!tsOutPath_.empty()) {
-                if (tsAll.empty()) {
-                    tsAll = cap.timeseriesCsv;
-                } else {
-                    // Drop the repeated header line when concatenating.
-                    std::size_t eol = cap.timeseriesCsv.find('\n');
-                    if (eol != std::string::npos)
-                        tsAll += cap.timeseriesCsv.substr(eol + 1);
-                }
-            }
-        }
-        if ((tsFiles || spanSampleEvery_ > 0) && !cap.spanTrace.empty()) {
+        if (traceFiles && !cap.spanTrace.empty()) {
             std::string path = outDir_ + "/" + benchName_ + "_" +
                                fileSafe(cap.label) + "_trace.json";
             std::ofstream os(path);
@@ -331,17 +306,6 @@ BenchCli::finish()
                           cap.spanFolded.substr(pos, eol - pos) + "\n";
                 pos = eol + 1;
             }
-        }
-    }
-    if (!tsOutPath_.empty()) {
-        std::ofstream os(tsOutPath_);
-        os << tsAll;
-        if (!os) {
-            std::cerr << benchName_ << ": failed to write '" << tsOutPath_
-                      << "'\n";
-            rc = 1;
-        } else {
-            std::cout << "timeseries (all runs): " << tsOutPath_ << "\n";
         }
     }
     if (!flamePath_.empty()) {

@@ -9,7 +9,8 @@
  *   --json PATH    write a smart-bench-report/v3 JSON report to PATH;
  *                  every captured run carries its time series (window
  *                  --ts-window, else kCaptureWindowNs)
- *   --out-dir DIR  directory for CSV/JSON outputs (default ".")
+ *   --out-dir DIR  directory for the default JSON report and the
+ *                  trace files (default ".")
  *   --seed N       perturb every bench's workload RNG streams (plain
  *                  decimal; recorded in the JSON report; same seed =>
  *                  identical run)
@@ -25,9 +26,10 @@
  *   --ts-window W  sample every registered metric into windowed time
  *                  series every W of virtual time (suffix us/ms; plain
  *                  number = ns; implies a JSON report; also writes
- *                  <out-dir>/<bench>_<label>_timeseries.csv per run)
- *   --ts-out PATH  additionally concatenate every captured run's
- *                  time-series CSV into PATH
+ *                  <out-dir>/<bench>_<label>_trace.json per captured run)
+ *
+ * The JSON report is the one record of a run; CSV views of its tables
+ * and time series come from scripts/report_csv.py.
  */
 
 #ifndef SMART_HARNESS_BENCH_CLI_HPP
@@ -129,7 +131,7 @@ class BenchCli
      */
     RunCapture *nextCapture(std::string label);
 
-    /** Print @p t, write it to <out-dir>/<name>.csv, add to the report. */
+    /** Print @p t and add it to the report. */
     void addTable(const std::string &name, const sim::Table &t);
 
     /** Print @p text and record it in the report's notes. */
@@ -153,7 +155,6 @@ class BenchCli
     std::uint64_t seed_ = 0;
     std::uint32_t spanSampleEvery_ = 0;
     sim::Time tsWindowNs_ = 0;
-    std::string tsOutPath_;
     bool noCache_ = false;
     int cacheMb_ = -1;
     bool cachePolicySet_ = false;

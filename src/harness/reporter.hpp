@@ -59,7 +59,7 @@ class Reporter
      */
     void setSlo(sim::Json slo) { slo_ = std::move(slo); }
 
-    /** Record a result table under @p name (also the CSV base name). */
+    /** Record a result table under @p name. */
     void addTable(const std::string &name, const sim::Table &t);
 
     /** Record one measured run (snapshot + optional time series). */

@@ -193,8 +193,6 @@ struct RunCapture
     std::string spanFolded;
     /** Windowed time-series block (null unless the plane was on). */
     sim::Json timeseries;
-    /** Same data in long-format CSV (empty unless the plane was on). */
-    std::string timeseriesCsv;
 };
 
 /** Time-series window of a captured run when none was configured. */
@@ -245,10 +243,8 @@ captureRun(Testbed &tb, RunCapture *cap)
         root.set("displayTimeUnit", "ns");
         cap->spanTrace = root.dump(1);
     }
-    if (tl != nullptr && tl->windows() > 0) {
+    if (tl != nullptr && tl->windows() > 0)
         cap->timeseries = tl->toJson();
-        cap->timeseriesCsv = tl->csv(cap->label);
-    }
 }
 
 /**

@@ -1,13 +1,12 @@
 /**
  * @file
- * Small helper for printing aligned result tables (and CSV) from benches.
+ * Small helper for printing aligned result tables from benches.
  */
 
 #ifndef SMART_SIM_TABLE_HPP
 #define SMART_SIM_TABLE_HPP
 
-#include <cstdio>
-#include <fstream>
+#include <algorithm>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
@@ -86,23 +85,6 @@ class Table
         for (std::size_t c = 0; c < width.size(); ++c)
             rule += std::string(width[c], '-') + "  ";
         os << rule << "\n";
-        for (const auto &r : rows_)
-            emit(r);
-    }
-
-    /** Write the table as CSV to @p path (best-effort). */
-    void
-    writeCsv(const std::string &path) const
-    {
-        std::ofstream f(path);
-        if (!f)
-            return;
-        auto emit = [&](const std::vector<std::string> &r) {
-            for (std::size_t c = 0; c < r.size(); ++c)
-                f << (c ? "," : "") << r[c];
-            f << "\n";
-        };
-        emit(header_);
         for (const auto &r : rows_)
             emit(r);
     }

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 #include <tuple>
 
 #include "sim/simulator.hpp"
@@ -194,30 +193,6 @@ Timeline::toJson() const
 
 namespace {
 
-/** CSV-quote @p s if it contains a separator, quote or newline. */
-std::string
-csvField(const std::string &s)
-{
-    if (s.find_first_of(",\"\n") == std::string::npos)
-        return s;
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"')
-            out += '"';
-        out += c;
-    }
-    out += '"';
-    return out;
-}
-
-std::string
-fmtDouble(double d)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", d);
-    return buf;
-}
-
 std::string
 labelsText(const Labels &labels)
 {
@@ -233,78 +208,6 @@ labelsText(const Labels &labels)
 }
 
 } // namespace
-
-std::string
-Timeline::csv(const std::string &label) const
-{
-    std::string out =
-        "label,t_ns,name,labels,kind,value,count,mean,min,max,p50,p99,"
-        "p999\n";
-    const std::string lbl = csvField(label);
-    for (const auto &[stamp, s] : series_) {
-        const std::string name = csvField(s.id.name);
-        const std::string labels = csvField(labelsText(s.id.labels));
-        const std::size_t n = s.kind == MetricKind::Counter
-                                  ? s.counterPoints.size()
-                                  : s.kind == MetricKind::Gauge
-                                        ? s.gaugePoints.size()
-                                        : s.histPoints.size();
-        for (std::size_t i = 0; i < n; ++i) {
-            out += lbl;
-            out += ',';
-            out += std::to_string(t_[s.start + i]);
-            out += ',';
-            out += name;
-            out += ',';
-            out += labels;
-            out += ',';
-            out += metricKindName(s.kind);
-            out += ',';
-            switch (s.kind) {
-              case MetricKind::Counter:
-                out += std::to_string(s.counterPoints[i]);
-                out += ",,,,,,,";
-                break;
-              case MetricKind::Gauge:
-                out += fmtDouble(s.gaugePoints[i]);
-                out += ",,,,,,,";
-                break;
-              case MetricKind::Histogram: {
-                const WindowSummary &w = s.histPoints[i];
-                out += ',';
-                out += std::to_string(w.count);
-                out += ',';
-                out += fmtDouble(w.mean);
-                out += ',';
-                out += std::to_string(w.min);
-                out += ',';
-                out += std::to_string(w.max);
-                out += ',';
-                out += std::to_string(w.p50);
-                out += ',';
-                out += std::to_string(w.p99);
-                out += ',';
-                out += std::to_string(w.p999);
-                break;
-              }
-            }
-            out += '\n';
-        }
-    }
-    for (const Annotation &a : sortedAnnotations()) {
-        out += lbl;
-        out += ',';
-        out += std::to_string(a.at);
-        out += ",!annotation,";
-        out += csvField(a.target);
-        out += ',';
-        out += csvField(a.kind);
-        out += ',';
-        out += csvField(a.detail);
-        out += ",,,,,,,\n";
-    }
-    return out;
-}
 
 void
 Timeline::appendChromeEvents(Json &events) const

@@ -138,15 +138,6 @@ class Timeline
     Json toJson() const;
 
     /**
-     * Long-format CSV (for scripts/plot_timeseries.py):
-     *   label,t_ns,name,labels,kind,value,count,mean,min,max,p50,p99,p999
-     * Counters/gauges fill "value"; histograms fill the summary columns.
-     * Annotations ride along as kind "annotation.<kind>" rows with the
-     * target in "labels" and the detail in "value".
-     */
-    std::string csv(const std::string &label) const;
-
-    /**
      * Append Chrome/Perfetto events to @p events (a traceEvents array):
      * counter tracks ("ph":"C") for application-level series
      * (smart.tenant.*, smart.slo.*, app.*) and global instant events

@@ -195,8 +195,15 @@ class WireInbox
 
     ~WireInbox()
     {
-        for (Node *b : blocks_)
+        // Destroy every node carved in a block before freeing it: a
+        // message still in heap_, or popped into an Inject event that
+        // never ran, owns its payload (e.g. a READ response's data). A
+        // delivered node is already empty, so destroying it is a no-op.
+        for (Node *b : blocks_) {
+            for (std::size_t i = 0; i < kBlock; ++i)
+                b[i].~Node();
             ::operator delete[](reinterpret_cast<unsigned char *>(b));
+        }
     }
 
     /** Earliest pending delivery time, or kTimeNever when empty. */
@@ -261,6 +268,9 @@ class WireInbox
         WireMsg msg;
     };
 
+    /** Nodes carved per allocated block. */
+    static constexpr std::size_t kBlock = 64;
+
     Node *
     acquireNode()
     {
@@ -282,7 +292,6 @@ class WireInbox
     void
     grow()
     {
-        constexpr std::size_t kBlock = 64;
         auto *raw = static_cast<unsigned char *>(
             ::operator new[](kBlock * sizeof(Node)));
         Node *arr = reinterpret_cast<Node *>(raw);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -558,7 +559,7 @@ TEST(LatencyHistogram, LargeValuesDoNotOverflowBuckets)
     EXPECT_GT(h.percentile(99), 0u);
 }
 
-TEST(Table, PrintsAlignedAndCsv)
+TEST(Table, PrintsAligned)
 {
     Table t({"a", "bb"});
     t.row().cell(std::uint64_t{1}).cell(2.5, 1);
@@ -721,6 +722,41 @@ TEST(WireOrdering, SameSimDeliveryInterleavesWithLocalEvents)
     EXPECT_EQ(log[0], "local999");
     EXPECT_EQ(log[1], "wire1000");
     EXPECT_EQ(log[2], "local1001");
+}
+
+namespace {
+
+/** Wire payload whose capture is visible through the shared_ptr count. */
+struct Hold
+{
+    std::shared_ptr<int> ref;
+
+    void operator()() {}
+};
+
+} // namespace
+
+TEST(WireOrdering, TeardownReleasesInFlightPayloads)
+{
+    auto ref = std::make_shared<int>(0);
+    {
+        // Still parked in the inbox when the Simulator dies.
+        Simulator sim;
+        WireEndpoint ep(sim);
+        ep.send(sim, 1000, Hold{ref});
+        sim.runUntil(500);
+        EXPECT_EQ(ref.use_count(), 2);
+    }
+    EXPECT_EQ(ref.use_count(), 1);
+    {
+        // Popped into an injected event that never runs.
+        EventQueue q;
+        WireInbox inbox;
+        inbox.push(WireMsg::make(1000, 0, 0, Hold{ref}));
+        inbox.injectUpTo(1000, q);
+        EXPECT_EQ(ref.use_count(), 2);
+    }
+    EXPECT_EQ(ref.use_count(), 1);
 }
 
 // The inbox injects unclamped, so these checks stay on in Release builds.
