@@ -219,7 +219,7 @@ main(int argc, char **argv)
 
     sim::Table mt({"migrated_parts", "migrated_mb", "joins", "drains",
                    "failovers", "epoch", "fenced", "handoffs",
-                   "shed_prefetch", "chunked_posts", "op_delays"});
+                   "chunked_posts", "op_delays"});
     double handoffs = 0;
     if (cache::BufferManager *bm = rt.cache())
         handoffs = static_cast<double>(bm->handoffCount());
@@ -232,7 +232,6 @@ main(int argc, char **argv)
         .cell(plane.view().epoch())
         .cell(plane.view().fencedCount())
         .cell(static_cast<std::uint64_t>(handoffs))
-        .cell(rt.shedPrefetchCount())
         .cell(rt.chunkedPostCount())
         .cell(rt.opDelayCount());
     cli.addTable("elasticity_membership", mt);

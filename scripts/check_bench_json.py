@@ -82,9 +82,8 @@ def validate(report):
                 check("thread" in m.get("labels", {}),
                       f"{m['name']} must carry a thread label")
             if m["name"].startswith("smart.cache."):
-                labels = m.get("labels", {})
-                check("blade" in labels and "policy" in labels,
-                      f"{m['name']} must carry blade + policy labels")
+                check("blade" in m.get("labels", {}),
+                      f"{m['name']} must carry a blade label")
             if m["name"].startswith("smart.tenant."):
                 check("tenant" in m.get("labels", {}),
                       f"{m['name']} must carry a tenant label")

@@ -28,8 +28,7 @@ usage(const std::string &bench, int exit_code)
     os << "usage: " << bench
        << " [--quick] [--json PATH] [--out-dir DIR] [--seed N] "
           "[--trace-spans[=N]] [--flame PATH] [--perf]\n"
-          "  [--cache-mb N] [--cache-policy clock|fifo] [--no-cache] "
-          "[--ts-window W]\n"
+          "  [--cache-mb N] [--no-cache] [--ts-window W]\n"
           "  --quick        reduced sweep for CI / smoke runs\n"
           "  --json PATH    write a smart-bench-report/v3 JSON report\n"
           "  --out-dir DIR  directory for the default JSON report and "
@@ -43,9 +42,8 @@ usage(const std::string &bench, int exit_code)
           "PATH (implies --trace-spans)\n"
           "  --perf         print a wall-clock perf summary (always "
           "embedded in the JSON report)\n"
-          "  --cache-mb N   enable the compute-side cache tier with an "
-          "N MiB frame pool\n"
-          "  --cache-policy P  cache eviction policy: clock or fifo\n"
+          "  --cache-mb N   enable the compute-side cache tier (CLOCK "
+          "eviction) with an N MiB frame pool\n"
           "  --no-cache     force the cache tier off\n"
           "  --ts-window W  windowed time-series sampling every W of "
           "virtual time (suffix us/ms, plain = ns; implies a JSON report "
@@ -162,18 +160,6 @@ BenchCli::BenchCli(int argc, char **argv, std::string bench_name)
         } else if (arg == "--cache-mb") {
             cacheMb_ = static_cast<int>(parseDecimal(
                 benchName_, "--cache-mb", value(i, "--cache-mb"), INT32_MAX));
-        } else if (arg == "--cache-policy") {
-            std::string p = value(i, "--cache-policy");
-            if (p == "clock") {
-                cachePolicy_ = CacheEvictPolicy::Clock;
-            } else if (p == "fifo") {
-                cachePolicy_ = CacheEvictPolicy::Fifo;
-            } else {
-                std::cerr << benchName_ << ": unknown cache policy '" << p
-                          << "' (expected clock or fifo)\n";
-                usage(benchName_, 2);
-            }
-            cachePolicySet_ = true;
         } else if (arg == "--no-cache") {
             noCache_ = true;
         } else if (arg == "--ts-window") {

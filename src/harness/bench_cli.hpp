@@ -19,9 +19,8 @@
  *                  <out-dir>/<bench>_<label>_trace.json per captured run)
  *   --flame PATH   write collapsed-stack flamegraph lines to PATH
  *                  (implies --trace-spans)
- *   --cache-mb N   enable the compute-side cache tier with an N MiB
- *                  frame pool per runtime
- *   --cache-policy P  cache eviction policy: clock (default) or fifo
+ *   --cache-mb N   enable the compute-side cache tier (CLOCK eviction)
+ *                  with an N MiB frame pool per runtime
  *   --no-cache     force the cache tier off (overrides bench defaults)
  *   --ts-window W  sample every registered metric into windowed time
  *                  series every W of virtual time (suffix us/ms; plain
@@ -100,27 +99,17 @@ class BenchCli
 
     /**
      * Apply the cache flags onto @p cfg. Bench defaults survive unless a
-     * flag was given: --no-cache wins over everything, --cache-mb sets
-     * the pool size, --cache-policy the eviction policy.
+     * flag was given: --no-cache wins over --cache-mb, which sets the
+     * pool size.
      */
     void
     configureCache(SmartConfig &cfg) const
     {
-        if (noCache_) {
-            cfg.withoutCache();
-            return;
-        }
-        if (cacheMb_ >= 0)
+        if (noCache_)
+            cfg.cache.sizeBytes = 0;
+        else if (cacheMb_ >= 0)
             cfg.withCacheMb(static_cast<std::uint32_t>(cacheMb_));
-        if (cachePolicySet_)
-            cfg.withCachePolicy(cachePolicy_);
     }
-
-    /** @return true when --no-cache was given. */
-    bool noCache() const { return noCache_; }
-
-    /** --cache-mb value, or -1 when the flag was absent. */
-    int cacheMb() const { return cacheMb_; }
 
     /**
      * Reserve a capture slot for the next measured run, labelled
@@ -157,8 +146,6 @@ class BenchCli
     sim::Time tsWindowNs_ = 0;
     bool noCache_ = false;
     int cacheMb_ = -1;
-    bool cachePolicySet_ = false;
-    CacheEvictPolicy cachePolicy_ = CacheEvictPolicy::Clock;
     std::string outDir_ = ".";
     std::string jsonPath_;
     std::string flamePath_;

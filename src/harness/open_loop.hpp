@@ -251,8 +251,7 @@ class OpenLoopDriver
         TenantStats s;
 
         // Burn-rate detector state, advanced once per time-series
-        // window by onWindow(). Own prev-value cursors (never
-        // Counter::delta(), which would perturb other readers).
+        // window by onWindow(), with its own prev-value cursors.
         std::uint64_t prevDone = 0;
         std::uint64_t prevViol = 0;
         /** Trailing per-window {completed, violations} deltas. */

@@ -75,22 +75,13 @@ runRdmaBench(const TestbedConfig &cfg, const RdmaBenchParams &params,
     }
 
     tb.runUntil(params.warmupNs);
-    // The device cache hit ratios are windowed by resetting them.
-    for (std::uint32_t c = 0; c < tb.numComputeBlades(); ++c) {
-        tb.compute(c).rnic().resetWqeStats();
-        tb.compute(c).rnic().mttCache().resetStats();
-    }
     MeasureWindow win(tb);
     tb.runUntil(params.warmupNs + params.measureNs);
     win.close();
 
     RdmaBenchResult res;
-    double wqe_hits = 0;
-    double mtt_hits = 0;
-    for (std::uint32_t c = 0; c < tb.numComputeBlades(); ++c) {
-        wqe_hits += tb.compute(c).rnic().wqeHitRatio();
-        mtt_hits += tb.compute(c).rnic().mttCache().hitRatio();
-    }
+    std::uint64_t wqe_hits = win.count("rnic.wqe_hits");
+    std::uint64_t wqe_lookups = wqe_hits + win.count("rnic.wqe_misses");
     std::uint64_t wrs = win.count("rnic.wrs_completed");
     std::uint64_t rings = win.count("rnic.doorbell_rings");
     res.mops = win.perUs("rnic.wrs_completed");
@@ -100,8 +91,9 @@ runRdmaBench(const TestbedConfig &cfg, const RdmaBenchParams &params,
             : 0.0;
     res.medianBatchNs = static_cast<double>(win.latency().p50());
     res.p99BatchNs = static_cast<double>(win.latency().p99());
-    res.wqeHitRatio = wqe_hits / tb.numComputeBlades();
-    res.mttHitRatio = mtt_hits / tb.numComputeBlades();
+    res.wqeHitRatio = wqe_lookups ? static_cast<double>(wqe_hits) /
+                                        static_cast<double>(wqe_lookups)
+                                  : 1.0;
     res.avgDoorbellWaitNs =
         rings ? static_cast<double>(win.count("rnic.doorbell_wait_ns")) /
                     static_cast<double>(rings)

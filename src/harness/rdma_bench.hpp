@@ -36,8 +36,7 @@ struct RdmaBenchResult
     double dramBytesPerWr = 0;  ///< initiator RNIC<->DRAM bytes per WR
     double medianBatchNs = 0;   ///< median post..all-acked latency
     double p99BatchNs = 0;
-    double wqeHitRatio = 0;
-    double mttHitRatio = 0;
+    double wqeHitRatio = 0;     ///< WQE-cache hits / lookups in window
     double avgDoorbellWaitNs = 0;
 };
 

@@ -90,13 +90,6 @@ class RandomReplaceCache
         return total ? static_cast<double>(hits()) / total : 1.0;
     }
 
-    void
-    resetStats()
-    {
-        hits_.reset();
-        misses_.reset();
-    }
-
   private:
     std::uint32_t capacity_;
     smart::sim::Rng rng_;
@@ -147,13 +140,6 @@ class LruCache
     {
         std::uint64_t total = hits() + misses();
         return total ? static_cast<double>(hits()) / total : 1.0;
-    }
-
-    void
-    resetStats()
-    {
-        hits_.reset();
-        misses_.reset();
     }
 
   private:

@@ -52,19 +52,6 @@ struct PerfCounters
         m.registerCounter(owner, "rnic.mtt_refetches", labels,
                           &mttRefetches);
     }
-
-    /** Reset the deltas used by windowed measurements. */
-    void
-    resetWindow()
-    {
-        wrsCompleted.delta();
-        wrsServed.delta();
-        dramBytes.delta();
-        doorbellWaitNs.delta();
-        doorbellRings.delta();
-        wqeRefetches.delta();
-        mttRefetches.delta();
-    }
 };
 
 } // namespace smart::rnic

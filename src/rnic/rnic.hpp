@@ -160,14 +160,12 @@ class Rnic : public sim::FaultTarget
     /** @return diagnostic name ("mb0", "cb1", ...). */
     const std::string &name() const { return name_; }
 
-    /** @return performance counters (mutable: windowed benches reset). */
+    /** @return performance counters (mutable: the verbs layer adds
+     *  doorbell waits and rings). */
     PerfCounters &perf() { return perf_; }
 
     /** @return performance counters, read-only. */
     const PerfCounters &perf() const { return perf_; }
-
-    /** @return the MTT/MPT translation cache (for test introspection). */
-    LruCache &mttCache() { return mttCache_; }
 
     /**
      * Device-side span track of this adapter, interned in @p sp on first
@@ -197,22 +195,6 @@ class Rnic : public sim::FaultTarget
             return 1.0;
         return static_cast<double>(cfg_.wqeCacheCapacity) /
                static_cast<double>(owrNow_);
-    }
-
-    /** @return WQE-cache hit ratio since the last reset. */
-    double
-    wqeHitRatio() const
-    {
-        std::uint64_t total = wqeHits_.value() + wqeMisses_.value();
-        return total ? static_cast<double>(wqeHits_.value()) / total : 1.0;
-    }
-
-    /** Reset WQE-cache hit statistics (windowed measurements). */
-    void
-    resetWqeStats()
-    {
-        wqeHits_.reset();
-        wqeMisses_.reset();
     }
 
     /**

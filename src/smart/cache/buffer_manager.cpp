@@ -24,14 +24,12 @@ BufferManager::BufferManager(SmartRuntime &rt, const CacheConfig &cfg)
         freeList_.push_back(i); // pop_back hands out frame 0 first
     table_.reserve(n);
 
-    sim::Labels labels{{"blade", rt_.name()},
-                       {"policy", cacheEvictPolicyName(cfg_.evict)}};
+    sim::Labels labels{{"blade", rt_.name()}};
     sim::MetricsRegistry &m = rt_.sim().metrics();
     m.registerCounter(this, "smart.cache.hits", labels, &hits_);
     m.registerCounter(this, "smart.cache.misses", labels, &misses_);
     m.registerCounter(this, "smart.cache.evictions", labels, &evictions_);
     m.registerCounter(this, "smart.cache.writebacks", labels, &writebacks_);
-    m.registerCounter(this, "smart.cache.prefetches", labels, &prefetches_);
     m.registerCounter(this, "smart.cache.invalidations", labels,
                       &invalidations_);
     m.registerCounter(this, "smart.cache.pool_exhausted", labels, &exhausted_);
@@ -144,7 +142,7 @@ BufferManager::allocFrame(SmartCtx &ctx, bool &staged)
             }
             continue;
         }
-        if (cfg_.evict == CacheEvictPolicy::Clock && f.refBit) {
+        if (f.refBit) {
             f.refBit = false; // second chance
             continue;
         }
@@ -176,11 +174,10 @@ BufferManager::stageWriteBack(SmartCtx &ctx, std::uint32_t idx)
 }
 
 sim::Task
-BufferManager::ensureLinePinned(SmartCtx &ctx, std::uint32_t blade,
-                                const RemotePtr &line_ptr, LineKey key,
-                                std::uint32_t &frame, bool &staged)
+BufferManager::ensureLinePinned(SmartCtx &ctx, const RemotePtr &line_ptr,
+                                LineKey key, std::uint32_t &frame,
+                                bool &staged)
 {
-    (void)blade;
     for (;;) {
         auto it = table_.find(key);
         if (it != table_.end()) {
@@ -223,49 +220,6 @@ BufferManager::ensureLinePinned(SmartCtx &ctx, std::uint32_t blade,
     }
 }
 
-/** Stage prefetch fills for the lines after @p key, recording the used
- *  frames in @p pf so a failed round can unwind them. */
-void
-BufferManager::prefetchInto(SmartCtx &ctx, std::uint32_t blade,
-                            const RemotePtr &line_ptr, LineKey key,
-                            bool &staged, std::uint32_t *pf,
-                            std::uint32_t &npf, std::uint32_t pf_cap)
-{
-    if (cfg_.prefetchLines == 0)
-        return;
-    // Degradation level 1: an overloaded blade stops receiving optional
-    // prefetch fills before anything user-visible is shed.
-    if (rt_.overloadLevel(blade) >= 1) {
-        rt_.noteShedPrefetch();
-        return;
-    }
-    for (std::uint32_t j = 1; j <= cfg_.prefetchLines; ++j) {
-        if (npf == pf_cap)
-            return;
-        std::uint64_t li = keyLine(key) + j;
-        if ((li + 1) * static_cast<std::uint64_t>(cfg_.lineBytes) >
-            rt_.bladeSize(blade))
-            return; // past the end of the blade's MR
-        LineKey k2 = makeKey(blade, li);
-        if (table_.find(k2) != table_.end())
-            continue;
-        std::uint32_t fi = allocFrame(ctx, staged);
-        if (fi == kNoFrame)
-            return;
-        Frame &f = frames_[fi];
-        f.key = k2;
-        f.state = FrameState::Loading;
-        table_.emplace(k2, fi);
-        prefetches_.add();
-        ctx.stageCacheFill(RemotePtr{line_ptr.blade, line_ptr.rkey,
-                                     li * cfg_.lineBytes},
-                           MemSpan{frameBytes(fi), cfg_.lineBytes},
-                           fillCookie(fi));
-        staged = true;
-        pf[npf++] = fi;
-    }
-}
-
 sim::Task
 BufferManager::readParts(SmartCtx &ctx, const ReadPart *parts,
                          std::uint32_t nparts)
@@ -273,8 +227,6 @@ BufferManager::readParts(SmartCtx &ctx, const ReadPart *parts,
     assert(nparts <= kMaxParts);
     std::uint32_t lineFrame[kMaxBatchLines];
     std::uint32_t nLines = 0;
-    std::uint32_t pf[kMaxBatchLines];
-    std::uint32_t npf = 0;
     bool staged = false;
 
     for (std::uint32_t pi = 0; pi < nparts; ++pi) {
@@ -290,8 +242,7 @@ BufferManager::readParts(SmartCtx &ctx, const ReadPart *parts,
                                li * cfg_.lineBytes};
             LineKey key = makeKey(blade, li);
             std::uint32_t frame = kNoFrame;
-            co_await ensureLinePinned(ctx, blade, line_ptr, key, frame,
-                                      staged);
+            co_await ensureLinePinned(ctx, line_ptr, key, frame, staged);
             if (frame == kNoFrame) {
                 // Pool exhausted: serve this slice straight off the wire.
                 exhausted_.add();
@@ -306,9 +257,6 @@ BufferManager::readParts(SmartCtx &ctx, const ReadPart *parts,
                          MemSpan{p.dst.bytes() + (from - p.src.offset),
                                  static_cast<std::uint32_t>(to - from)});
                 staged = true;
-            } else if (frames_[frame].state == FrameState::Loading) {
-                prefetchInto(ctx, blade, line_ptr, key, staged, pf, npf,
-                             kMaxBatchLines);
             }
             lineFrame[nLines++] = frame;
         }
@@ -332,11 +280,6 @@ BufferManager::readParts(SmartCtx &ctx, const ReadPart *parts,
                 abortFill(frame, straggler);
             else if (f.detached)
                 tryReclaim(frame);
-        }
-        for (std::uint32_t i = 0; i < npf; ++i) {
-            Frame &f = frames_[pf[i]];
-            if (f.state == FrameState::Loading && !f.abandoned)
-                abortFill(pf[i], straggler);
         }
         co_return;
     }
@@ -367,7 +310,7 @@ BufferManager::readParts(SmartCtx &ctx, const ReadPart *parts,
         }
     }
 
-    co_await ctx.cacheCharge(static_cast<sim::Time>(nLines) * cfg_.hitNs);
+    co_await ctx.cacheCharge(static_cast<sim::Time>(nLines) * kHitNs);
 }
 
 sim::Task
@@ -385,7 +328,7 @@ BufferManager::pinLine(SmartCtx &ctx, const RemotePtr &p, std::uint32_t len,
     bool staged = false;
     RemotePtr line_ptr{p.blade, p.rkey, li * cfg_.lineBytes};
     LineKey key = makeKey(blade, li);
-    co_await ensureLinePinned(ctx, blade, line_ptr, key, frame, staged);
+    co_await ensureLinePinned(ctx, line_ptr, key, frame, staged);
     if (frame == kNoFrame) {
         exhausted_.add();
         co_return;
@@ -408,7 +351,7 @@ BufferManager::pinLine(SmartCtx &ctx, const RemotePtr &p, std::uint32_t len,
     }
     assert(frames_[frame].state == FrameState::Ready);
     view = frameBytes(frame) + (p.offset - li * cfg_.lineBytes);
-    co_await ctx.cacheCharge(cfg_.hitNs);
+    co_await ctx.cacheCharge(kHitNs);
 }
 
 bool

@@ -3,12 +3,11 @@
  * Compute-side buffer-managed cache tier (ScaleStore-style BufferManager).
  *
  * A fixed pool of line-sized frames fronts the remote blades: reads that
- * hit a resident line are served locally for ~cfg.hitNs instead of a full
+ * hit a resident line are served locally for ~kHitNs instead of a full
  * wire round-trip (~1.3 us modeled). The page table is a hash map keyed
- * by (blade, line) pairs; eviction is CLOCK second-chance (or a plain
- * FIFO-ish sweep); dirty frames are written back asynchronously on the
- * evicting coroutine's doorbell batch; misses may prefetch adjacent lines
- * on the same batch.
+ * by (blade, line) pairs; eviction is CLOCK second-chance; dirty frames
+ * are written back asynchronously on the evicting coroutine's doorbell
+ * batch. A miss fills exactly the lines the access covers.
  *
  * Coherence rules (DESIGN.md §11):
  *  - CAS/FAA always go to the wire and invalidate the covering line when
@@ -59,6 +58,13 @@ inline constexpr std::uint32_t kMaxParts = 16;
 /** Most lines one accessMany() batch may touch (parts x span lines). */
 inline constexpr std::uint32_t kMaxBatchLines = 64;
 
+/** Largest access, in lines, served through the cache (larger ops bypass
+ *  to the wire — streaming transfers shouldn't thrash it). */
+inline constexpr std::uint32_t kMaxSpanLines = 8;
+
+/** Modeled CPU cost per line serviced by the cache (lookup+copy). */
+inline constexpr sim::Time kHitNs = 60;
+
 /**
  * The buffer pool. One instance per SmartRuntime (created only when
  * SmartConfig::cache.enabled()); shared by every thread and coroutine of
@@ -92,7 +98,7 @@ class BufferManager
             return false;
         std::uint64_t first = offset / cfg_.lineBytes;
         std::uint64_t last = (offset + len - 1) / cfg_.lineBytes;
-        return last - first + 1 <= cfg_.maxSpanLines;
+        return last - first + 1 <= kMaxSpanLines;
     }
 
     /**
@@ -189,7 +195,6 @@ class BufferManager
     std::uint64_t missCount() const { return misses_.value(); }
     std::uint64_t evictionCount() const { return evictions_.value(); }
     std::uint64_t writebackCount() const { return writebacks_.value(); }
-    std::uint64_t prefetchCount() const { return prefetches_.value(); }
     std::uint64_t invalidationCount() const { return invalidations_.value(); }
     std::uint32_t
     numFrames() const
@@ -277,9 +282,9 @@ class BufferManager
      * a fill into the caller's round. frame == kNoFrame -> pool
      * exhausted, caller bypasses.
      */
-    sim::Task ensureLinePinned(SmartCtx &ctx, std::uint32_t blade,
-                               const RemotePtr &line_ptr, LineKey key,
-                               std::uint32_t &frame, bool &staged);
+    sim::Task ensureLinePinned(SmartCtx &ctx, const RemotePtr &line_ptr,
+                               LineKey key, std::uint32_t &frame,
+                               bool &staged);
 
     /** Grab a frame: free list first, then the eviction hand (staging
      *  write-backs for dirty victims). kNoFrame when nothing is
@@ -288,13 +293,6 @@ class BufferManager
 
     /** Stage an async write-back of @p frame into @p ctx's round. */
     void stageWriteBack(SmartCtx &ctx, std::uint32_t frame);
-
-    /** Stage adjacent-line prefetches after a miss on @p key, recording
-     *  the frames used in @p pf so a failed round can unwind them. */
-    void prefetchInto(SmartCtx &ctx, std::uint32_t blade,
-                      const RemotePtr &line_ptr, LineKey key, bool &staged,
-                      std::uint32_t *pf, std::uint32_t &npf,
-                      std::uint32_t pf_cap);
 
     /** Drop the page-table entry (frame becomes a zombie until quiet). */
     void detach(Frame &f);
@@ -341,7 +339,6 @@ class BufferManager
     sim::Counter misses_;
     sim::Counter evictions_;
     sim::Counter writebacks_;
-    sim::Counter prefetches_;
     sim::Counter invalidations_;
     sim::Counter exhausted_;
     sim::Counter handoffs_;

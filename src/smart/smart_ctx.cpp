@@ -16,6 +16,23 @@ namespace smart {
 using sim::Task;
 using sim::Time;
 
+namespace {
+
+/**
+ * Fenced-access re-resolve budget: how many decorrelated-jitter spaced
+ * polls access() makes against a Dead blade (waiting for the placement
+ * to be redirected) before surfacing a typed VerbError::Kind::StaleView
+ * to the application.
+ */
+constexpr std::uint32_t kMaxViewWaits = 8;
+/** Decorrelated-jitter base for fence polls and overload admission
+ *  delays (≈ 2 round trips). */
+constexpr std::uint64_t kViewJitterUnitCycles = 8192;
+/** Decorrelated-jitter truncation for the same delays. */
+constexpr std::uint64_t kViewJitterMaxCycles = 1ull << 20;
+
+} // namespace
+
 const char *
 verbErrorKindName(VerbError::Kind k)
 {
@@ -39,7 +56,6 @@ SmartCtx::SmartCtx(SmartRuntime &rt, std::uint32_t tid,
     syncState_.thread = &thr_;
     syncState_.ctx = this;
     scratchBase_ = rt_.scratchFor(tid, coro_idx, scratchTransKey_);
-    scratchSize_ = rt_.config().scratchBytesPerCoro;
 }
 
 std::uint32_t
@@ -56,8 +72,8 @@ SmartCtx::bladeIndex(const RemotePtr &p) const
 std::uint8_t *
 SmartCtx::scratch(std::uint32_t bytes)
 {
-    assert(bytes <= scratchSize_);
-    if (scratchPos_ + bytes > scratchSize_)
+    assert(bytes <= SmartRuntime::kScratchBytesPerCoro);
+    if (scratchPos_ + bytes > SmartRuntime::kScratchBytesPerCoro)
         scratchPos_ = 0;
     std::uint8_t *p = scratchBase_ + scratchPos_;
     scratchPos_ += bytes;
@@ -452,14 +468,13 @@ SmartCtx::casAccess(RemotePtr dst, std::uint64_t expect,
 Task
 SmartCtx::admitAccess(std::uint32_t blade_idx)
 {
-    const SmartConfig &cfg = rt_.config();
     // Degradation level 3: shed user ops last — one jittered admission
     // delay per access while the blade is saturated.
-    if (cfg.overloadLowWm != 0 && rt_.overloadLevel(blade_idx) >= 3) {
+    if (rt_.overloadLevel(blade_idx) >= 3) {
         rt_.noteOpDelay();
         std::uint64_t cycles = decorrelatedJitterCycles(
-            cfg.viewJitterUnitCycles, cfg.viewJitterMaxCycles,
-            viewJitterPrev_, thr_.rng());
+            kViewJitterUnitCycles, kViewJitterMaxCycles, viewJitterPrev_,
+            thr_.rng());
         Time t0 = sim().now();
         co_await sim().delay(sim::cyclesToNs(cycles));
         if (opSpan_ != 0)
@@ -475,13 +490,13 @@ SmartCtx::admitAccess(std::uint32_t blade_idx)
     // re-resolves placement instead of touching the dead blade.
     for (std::uint32_t attempt = 0;; ++attempt) {
         cv->noteFenced();
-        if (attempt >= cfg.maxViewWaits) {
+        if (attempt >= kMaxViewWaits) {
             error_ = {VerbError::Kind::StaleView, lastFailStatus_};
             co_return;
         }
         std::uint64_t cycles = decorrelatedJitterCycles(
-            cfg.viewJitterUnitCycles, cfg.viewJitterMaxCycles,
-            viewJitterPrev_, thr_.rng());
+            kViewJitterUnitCycles, kViewJitterMaxCycles, viewJitterPrev_,
+            thr_.rng());
         Time t0 = sim().now();
         co_await sim().delay(sim::cyclesToNs(cycles));
         if (opSpan_ != 0)
@@ -526,7 +541,7 @@ SmartCtx::access(RemotePtr p, AccessOp op, CachePolicy pol)
             bm->tryCachedWrite(bladeIndex(p), p, src)) {
             // Absorbed by a resident line (write-back; flushed on
             // eviction, cacheFlush() or a covering atomic).
-            co_await cacheCharge(bm->config().hitNs);
+            co_await cacheCharge(cache::kHitNs);
             co_return;
         }
         // Miss or Bypass: write through (no write-allocate).

@@ -265,7 +265,7 @@ class SmartCtx
     /**
      * Epoch fence + overload admission for one access to @p blade_idx
      * (no-op without a ClusterView / without watermarks). A fenced blade
-     * is polled cfg.maxViewWaits times with decorrelated-jitter delays;
+     * is polled kMaxViewWaits times with decorrelated-jitter delays;
      * still fenced -> error_ = StaleView and the caller must not issue.
      */
     sim::Task admitAccess(std::uint32_t blade_idx);
@@ -297,7 +297,6 @@ class SmartCtx
 
     std::uint8_t *scratchBase_ = nullptr;
     std::uint64_t scratchTransKey_ = 0;
-    std::uint32_t scratchSize_ = 0;
     std::uint32_t scratchPos_ = 0;
 
     std::uint32_t casFailStreak_ = 0;

@@ -16,6 +16,13 @@ namespace smart {
 using sim::Task;
 using sim::Time;
 
+namespace {
+
+/** Threads sharing one QP/CQ group under QpPolicy::MultiplexedQp. */
+constexpr std::uint32_t kMultiplexFactor = 4;
+
+} // namespace
+
 // ---------------------------------------------------------------- thread
 
 SmartThread::SmartThread(SmartRuntime &rt, std::uint32_t id)
@@ -240,7 +247,7 @@ SmartRuntime::SmartRuntime(sim::Simulator &sim,
                            std::string name)
     : sim_(sim), cfg_(cfg), rnic_(sim, hw_cfg, name), name_(std::move(name)),
       localBuf_(static_cast<std::size_t>(num_threads) *
-                    cfg.corosPerThread * cfg.scratchBytesPerCoro,
+                    cfg.corosPerThread * kScratchBytesPerCoro,
                 0)
 {
     // Device context(s) and local MR registration, per policy.
@@ -286,8 +293,8 @@ SmartRuntime::SmartRuntime(sim::Simulator &sim,
         sharedCq_ = sharedContext_->createCq();
         installDispatch(*sharedCq_);
     } else if (cfg_.qpPolicy == QpPolicy::MultiplexedQp) {
-        std::uint32_t groups = (num_threads + cfg_.multiplexFactor - 1) /
-                               cfg_.multiplexFactor;
+        std::uint32_t groups =
+            (num_threads + kMultiplexFactor - 1) / kMultiplexFactor;
         for (std::uint32_t g = 0; g < groups; ++g) {
             groupCqs_.push_back(sharedContext_->createCq());
             installDispatch(*groupCqs_.back());
@@ -316,8 +323,6 @@ SmartRuntime::SmartRuntime(sim::Simulator &sim,
     m.registerCounter(this, "app.ops", labels, &appOps);
     m.registerCounter(this, "app.retries", labels, &totalRetries);
     m.registerHistogram(this, "app.op_latency_ns", labels, &opLatency);
-    m.registerCounter(this, "smart.overload.shed_prefetch", labels,
-                      &shedPrefetch_);
     m.registerCounter(this, "smart.overload.chunked_posts", labels,
                       &chunkedPosts_);
     m.registerCounter(this, "smart.overload.op_delays", labels,
@@ -481,7 +486,7 @@ SmartRuntime::qpFor(std::uint32_t tid, std::uint32_t blade_idx)
       case QpPolicy::SharedQp:
         return *sharedQps_[blade_idx];
       case QpPolicy::MultiplexedQp:
-        return *groupQps_[tid / cfg_.multiplexFactor][blade_idx];
+        return *groupQps_[tid / kMultiplexFactor][blade_idx];
       default:
         return *threads_[tid]->qps_[blade_idx];
     }
@@ -494,7 +499,7 @@ SmartRuntime::cqFor(std::uint32_t tid)
       case QpPolicy::SharedQp:
         return *sharedCq_;
       case QpPolicy::MultiplexedQp:
-        return *groupCqs_[tid / cfg_.multiplexFactor];
+        return *groupCqs_[tid / kMultiplexFactor];
       default:
         return *threads_[tid]->cq_;
     }
@@ -507,7 +512,7 @@ SmartRuntime::scratchFor(std::uint32_t tid, std::uint32_t coro_idx,
     assert(coro_idx < cfg_.corosPerThread);
     std::uint64_t off =
         (static_cast<std::uint64_t>(tid) * cfg_.corosPerThread + coro_idx) *
-        cfg_.scratchBytesPerCoro;
+        kScratchBytesPerCoro;
     trans_key = rnic::Rnic::transKey(threads_[tid]->localMrId_, off);
     return localBuf_.data() + off;
 }
@@ -592,10 +597,14 @@ SmartRuntime::conflictLoop(SmartThread &t)
 {
     // §4.3: sample the retry rate γ every window and move c_max / t_max
     // across the water marks.
+    std::uint64_t prev_attempts = 0;
+    std::uint64_t prev_fails = 0;
     for (;;) {
         co_await sim_.delay(cfg_.retryWindowNs);
-        std::uint64_t attempts = t.casAttempts.delta();
-        std::uint64_t fails = t.casFails.delta();
+        std::uint64_t attempts = t.casAttempts.value() - prev_attempts;
+        std::uint64_t fails = t.casFails.value() - prev_fails;
+        prev_attempts = t.casAttempts.value();
+        prev_fails = t.casFails.value();
         if (attempts == 0)
             continue;
         double gamma =

@@ -298,6 +298,9 @@ class SmartRuntime
                  std::string name);
     ~SmartRuntime();
 
+    /** Per-coroutine local scratch buffer bytes. */
+    static constexpr std::uint32_t kScratchBytesPerCoro = 8192;
+
     sim::Simulator &sim() { return sim_; }
     rnic::Rnic &rnic() { return rnic_; }
     const rnic::Rnic &rnic() const { return rnic_; }
@@ -325,13 +328,6 @@ class SmartRuntime
 
     /** @return number of connected memory blades. */
     std::uint32_t numBlades() const { return blades_.size(); }
-
-    /** @return capacity in bytes of connected blade @p blade_idx. */
-    std::uint64_t
-    bladeSize(std::uint32_t blade_idx) const
-    {
-        return blades_[blade_idx]->size();
-    }
 
     /**
      * @return restart incarnation of connected blade @p blade_idx. A
@@ -371,8 +367,9 @@ class SmartRuntime
     ClusterView *clusterView() const { return clusterView_; }
 
     // ---- overload-side graceful degradation (§SmartConfig watermarks).
-    //      Levels: 1 sheds cache prefetch, 2 chunks doorbell batches,
-    //      3 delays user-op admission. All 0 unless watermarks are set.
+    //      Levels: 1 is an annotated early warning that sheds nothing,
+    //      2 chunks doorbell batches, 3 delays user-op admission. All 0
+    //      unless watermarks are set.
 
     /** @return this runtime's WRs currently outstanding to @p blade. */
     std::int64_t
@@ -407,12 +404,10 @@ class SmartRuntime
     }
 
     /** Degradation bookkeeping (called from the shedding sites). */
-    void noteShedPrefetch() { shedPrefetch_.add(); }
     void noteChunkedPost() { chunkedPosts_.add(); }
     void noteOpDelay() { opDelays_.add(); }
 
     /** Ladder engagement counts (benches, tests). */
-    std::uint64_t shedPrefetchCount() const { return shedPrefetch_.value(); }
     std::uint64_t chunkedPostCount() const { return chunkedPosts_.value(); }
     std::uint64_t opDelayCount() const { return opDelays_.value(); }
 
@@ -514,7 +509,6 @@ class SmartRuntime
     std::vector<std::int64_t> bladeOutstanding_;
     /** Last observed ladder level per blade (timeline annotations). */
     std::vector<std::uint32_t> lastOverloadLevel_;
-    sim::Counter shedPrefetch_;
     sim::Counter chunkedPosts_;
     sim::Counter opDelays_;
 

@@ -65,6 +65,8 @@ TEST(Cache, SecondReadOfLineIsAHit)
         std::uint8_t buf[64] = {};
         co_await ctx.access(p, AccessOp::read(MemSpan{buf, 64}));
         EXPECT_EQ(bm->missCount(), 1u);
+        // A miss fills only the line it covers.
+        EXPECT_EQ(bm->residentLines(), 1u);
         EXPECT_EQ(buf[3], static_cast<std::uint8_t>(7 + 3 * 13));
 
         // Different span, same line: served locally.

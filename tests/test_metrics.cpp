@@ -193,22 +193,6 @@ TEST(LatencyHistogram, HugeValuesSaturateIntoTopBucket)
     EXPECT_GE(h.percentile(50), H::bucketLo(H::kBuckets - 1));
 }
 
-TEST(Counter, ResetAlsoResetsDeltaSnapshot)
-{
-    // Regression: reset() used to zero value_ but keep lastSnapshot_, so
-    // the next delta() computed 0 - lastSnapshot_ and wrapped to a huge
-    // uint64 — corrupting every windowed rate sampled across a reset.
-    sim::Counter c;
-    c.add(100);
-    EXPECT_EQ(c.delta(), 100u);
-    c.add(50);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-    EXPECT_EQ(c.delta(), 0u);
-    c.add(7);
-    EXPECT_EQ(c.delta(), 7u);
-}
-
 TEST(LatencyHistogram, PercentileClampedToObservedRange)
 {
     // Regression: percentile() used to return the raw bucket midpoint,

@@ -502,15 +502,14 @@ TEST(ScatterKey, DeterministicAndInRange)
 
 // ------------------------------------------------------------------ stats
 
-TEST(Counter, DeltaTracksWindow)
+TEST(Counter, ResetZeroesValue)
 {
     Counter c;
     c.add(10);
-    EXPECT_EQ(c.delta(), 10u);
     c.add(5);
-    EXPECT_EQ(c.delta(), 5u);
-    EXPECT_EQ(c.delta(), 0u);
     EXPECT_EQ(c.value(), 15u);
+    c.reset();
+    EXPECT_EQ(c.value(), 0u);
 }
 
 TEST(LatencyHistogram, ExactInFirstOctave)
