@@ -212,13 +212,11 @@ measureCapacity(const std::string &app, const Shape &sh, BenchCli &cli,
         }
     }
     tb.runUntil(sh.warmupNs);
-    std::uint64_t ops0 = rt.appOps.value();
-    rt.opLatency.reset();
+    MeasureWindow win(tb);
     tb.runUntil(sh.warmupNs + sh.measureNs);
-    std::uint64_t ops = rt.appOps.value() - ops0;
-    mops = static_cast<double>(ops) /
-           (static_cast<double>(sh.measureNs) / 1000.0);
-    p99_ns = rt.opLatency.p99();
+    win.close();
+    mops = win.perUs("app.ops");
+    p99_ns = win.latency().p99();
 }
 
 /** One measured sweep point. */
@@ -382,12 +380,11 @@ measureChurnCapacity(const Shape &sh, BenchCli &cli)
     }
     const Time warm = sim::msec(1);
     const Time measure = sim::msec(2);
-    tb.sim().runUntil(warm);
-    std::uint64_t ops0 = rt.appOps.value();
-    tb.sim().runUntil(warm + measure);
-    std::uint64_t ops = rt.appOps.value() - ops0;
-    return static_cast<double>(ops) /
-           (static_cast<double>(measure) / 1000.0);
+    tb.runUntil(warm);
+    MeasureWindow win(tb);
+    tb.runUntil(warm + measure);
+    win.close();
+    return win.perUs("app.ops");
 }
 
 } // namespace

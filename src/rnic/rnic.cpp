@@ -45,8 +45,9 @@ enum class PacketKind : std::uint8_t
 };
 
 /**
- * The unit of blade-to-blade traffic: one work request in flight. Crosses
- * the wire inside a WireMsg, so it must fit the inline payload budget.
+ * The unit of blade-to-blade traffic: one work request in flight. One
+ * packet per WR carries it request -> response -> completion; the
+ * initiator takes it from and returns it to its packet pool.
  */
 struct WirePacket
 {
@@ -65,47 +66,63 @@ struct WirePacket
 };
 
 /**
- * Wire payload delivering one WirePacket: runs inside the injected
- * delivery event, at the packet's dtime.
+ * Wire payload delivering one WirePacket: runs as the injected delivery
+ * event, at the packet's dtime.
  */
 struct PacketDelivery
 {
-    WirePacket pkt;
+    WirePacket *pkt;
 
     void
     operator()()
     {
-        switch (pkt.kind) {
+        WirePacket &p = *pkt;
+        switch (p.kind) {
         case PacketKind::Request: {
-            Rnic *r = pkt.responder;
-            Rnic::startDetached(r->serveRequest(std::move(pkt)));
+            Rnic *r = p.responder;
+            Rnic::startDetached(r->serveRequest(pkt));
             break;
         }
         case PacketKind::Response: {
-            Rnic *i = pkt.initiator;
-            Rnic::startDetached(i->finishOne(std::move(pkt)));
+            Rnic *i = p.initiator;
+            Rnic::startDetached(i->finishOne(pkt));
             break;
         }
         case PacketKind::Nak:
         case PacketKind::Timeout: {
-            Rnic *i = pkt.initiator;
-            i->recycleByteBuffer(std::move(pkt.payload));
-            i->completeError(pkt.wr, pkt.status);
+            Rnic *i = p.initiator;
+            i->completeError(p.wr, p.status);
+            i->recyclePacket(pkt);
             break;
         }
         }
     }
 };
 
-static_assert(sizeof(PacketDelivery) <= sim::WireMsg::kPayloadBytes,
-              "WirePacket outgrew the wire inline budget");
-static_assert(alignof(PacketDelivery) <= sim::WireMsg::kPayloadAlign);
-static_assert(std::is_nothrow_move_constructible_v<PacketDelivery>);
+void
+Rnic::sendPacket(Time dtime, WirePacket *pkt)
+{
+    wire_.send(dtime, PacketDelivery{pkt});
+}
+
+WirePacket *
+Rnic::takePacket()
+{
+    if (packetPool_.empty()) {
+        packets_.push_back(std::make_unique<WirePacket>());
+        return packets_.back().get();
+    }
+    WirePacket *p = packetPool_.back();
+    packetPool_.pop_back();
+    return p;
+}
 
 void
-Rnic::sendPacket(Rnic &dst, Time dtime, WirePacket &&pkt)
+Rnic::recyclePacket(WirePacket *pkt)
 {
-    wire_.send(dst.sim_, dtime, PacketDelivery{std::move(pkt)});
+    recycleByteBuffer(std::move(pkt->payload));
+    *pkt = WirePacket{};
+    packetPool_.push_back(pkt);
 }
 
 Rnic::Rnic(sim::Simulator &sim, const RnicConfig &cfg, std::string name)
@@ -116,8 +133,7 @@ Rnic::Rnic(sim::Simulator &sim, const RnicConfig &cfg, std::string name)
       dmaEngines_(sim, cfg.dmaEngines, name_ + ".dma"),
       pcie_(sim, 1, name_ + ".pcie"),
       egress_(sim, 1, name_ + ".egress"),
-      mttCache_(cfg.mttCacheCapacity),
-      qpcCache_(cfg.qpcCacheCapacity)
+      mttCache_(cfg.mttCacheCapacity)
 {
     sim::Labels labels{{"blade", name_}};
     sim::MetricsRegistry &m = sim_.metrics();
@@ -425,28 +441,28 @@ Rnic::processOne(Rnic *target, WorkReq wr)
     else if (wr.op == Op::Faa)
         req_bytes += 8;
     Time wire_t0 = sim_.now();
-    co_await sendTo(*target, req_bytes); // resumes at serialization end
+    co_await sendTo(req_bytes); // resumes at serialization end
     Time arrival = sim_.now() + cfg_.propagationNs;
     if (sp != nullptr)
         sp->record(spanTrack(*sp), sim::Stage::Link, wr.traceSpan, wire_t0,
                    arrival);
 
-    WirePacket pkt;
-    pkt.initiator = this;
-    pkt.responder = target;
-    pkt.kind = PacketKind::Request;
+    WirePacket *pkt = takePacket();
+    pkt->initiator = this;
+    pkt->responder = target;
+    pkt->kind = PacketKind::Request;
     if (wr.op == Op::Read)
-        pkt.payload = takeByteBuffer(); // responder fills it at DMA time
-    pkt.wr = std::move(wr);
-    sendPacket(*target, arrival, std::move(pkt));
+        pkt->payload = takeByteBuffer(); // responder fills it at DMA time
+    pkt->wr = std::move(wr);
+    sendPacket(arrival, pkt);
     // The WR continues in serveRequest() when the request arrives.
 }
 
 Task
-Rnic::serveRequest(WirePacket pkt)
+Rnic::serveRequest(WirePacket *p)
 {
+    WirePacket &pkt = *p;
     WorkReq &wr = pkt.wr;
-    Rnic *initiator = pkt.initiator;
     sim::SpanTracer *sp = wr.traceSpan != 0 ? sim_.spans() : nullptr;
     auto devSpan = [&](sim::Stage st, Time t0) {
         if (sp != nullptr)
@@ -459,8 +475,7 @@ Rnic::serveRequest(WirePacket pkt)
         // Timeout packet models that budget expiring on the initiator.
         pkt.kind = PacketKind::Timeout;
         pkt.status = WcStatus::RetryExceeded;
-        sendPacket(*initiator, sim_.now() + cfg_.transportRetryNs,
-                   std::move(pkt));
+        sendPacket(sim_.now() + cfg_.transportRetryNs, p);
         co_return;
     }
     perf_.wrsServed.add();
@@ -473,11 +488,10 @@ Rnic::serveRequest(WirePacket pkt)
         // Invalid rkey (e.g. the MR was re-registered after a blade
         // restart) or out-of-bounds access: the responder NAKs and the
         // initiator sees an error CQE.
-        co_await sendTo(*initiator, cfg_.headerBytes);
+        co_await sendTo(cfg_.headerBytes);
         pkt.kind = PacketKind::Nak;
         pkt.status = WcStatus::RemoteAccessError;
-        sendPacket(*initiator, sim_.now() + cfg_.propagationNs,
-                   std::move(pkt));
+        sendPacket(sim_.now() + cfg_.propagationNs, p);
         co_return;
     }
     std::uint8_t *remote = mr->base + wr.remoteOffset;
@@ -543,20 +557,21 @@ Rnic::serveRequest(WirePacket pkt)
 
     // ---- Response over the wire ----
     Time wire_t0 = sim_.now();
-    co_await sendTo(*initiator, resp_bytes);
+    co_await sendTo(resp_bytes);
     Time arrival = sim_.now() + cfg_.propagationNs;
     if (sp != nullptr)
         sp->record(spanTrack(*sp), sim::Stage::Link, wr.traceSpan, wire_t0,
                    arrival);
     pkt.kind = PacketKind::Response;
     pkt.status = WcStatus::Success;
-    sendPacket(*initiator, arrival, std::move(pkt));
+    sendPacket(arrival, p);
     // The WR continues in finishOne() when the response arrives.
 }
 
 Task
-Rnic::finishOne(WirePacket pkt)
+Rnic::finishOne(WirePacket *p)
 {
+    WirePacket &pkt = *p;
     WorkReq &wr = pkt.wr;
     sim::SpanTracer *sp = wr.traceSpan != 0 ? sim_.spans() : nullptr;
     auto devSpan = [&](sim::Stage st, Time t0) {
@@ -568,20 +583,20 @@ Rnic::finishOne(WirePacket pkt)
     if (down_ || epoch_ != wr.initEpoch) {
         // The initiating device reset/crashed under this WR: its QP is
         // gone, so the response is dropped and the WR flushes in error.
-        recycleByteBuffer(std::move(pkt.payload));
         completeError(wr, WcStatus::FlushedInError);
+        recyclePacket(p);
         co_return;
     }
     if (pendingCompletionErrors_ > 0) {
         --pendingCompletionErrors_;
-        recycleByteBuffer(std::move(pkt.payload));
         completeError(wr, WcStatus::RemoteAccessError);
+        recyclePacket(p);
         co_return;
     }
     if (completionErrorProb_ > 0.0 && faultRng_ != nullptr &&
         faultRng_->uniformDouble() < completionErrorProb_) {
-        recycleByteBuffer(std::move(pkt.payload));
         completeError(wr, WcStatus::RemoteAccessError);
+        recyclePacket(p);
         co_return;
     }
 
@@ -621,12 +636,12 @@ Rnic::finishOne(WirePacket pkt)
         std::memcpy(wr.localBuf, pkt.payload.data(), wr.length);
     if ((wr.op == Op::Cas || wr.op == Op::Faa) && wr.localBuf != nullptr)
         std::memcpy(wr.localBuf, &pkt.oldValue, 8);
-    recycleByteBuffer(std::move(pkt.payload));
 
     perf_.wrsCompleted.add();
     --owrNow_;
     if (wr.sink != nullptr)
         wr.sink->complete(wr, pkt.oldValue, WcStatus::Success);
+    recyclePacket(p);
 }
 
 } // namespace smart::rnic

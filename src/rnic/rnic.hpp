@@ -323,14 +323,14 @@ class Rnic : public sim::FaultTarget
      * the response packet back over the wire. Runs inside the delivery
      * event.
      */
-    sim::Task serveRequest(WirePacket pkt);
+    sim::Task serveRequest(WirePacket *p);
 
     /**
      * Completion half (this == the initiator): WQE-cache model,
      * completion pipeline, CQE/payload landing, CQE delivery. Runs when
      * the response packet arrives.
      */
-    sim::Task finishOne(WirePacket pkt);
+    sim::Task finishOne(WirePacket *p);
 
     /** Start a detached task inline (wire deliveries; no extra event). */
     static void
@@ -373,7 +373,7 @@ class Rnic : public sim::FaultTarget
      * @p bytes. Resumes when the last byte leaves the sender; wire
      * propagation is *not* included — it is carried by the WirePacket's
      * delivery timestamp (sender now + propagationNs), so the crossing
-     * itself is an explicit mailbox message, never a direct peer event.
+     * itself is a wire delivery, never a direct peer event.
      */
     struct SendAwaiter
     {
@@ -389,15 +389,10 @@ class Rnic : public sim::FaultTarget
         void await_resume() const noexcept {}
     };
 
-    SendAwaiter
-    sendTo(Rnic &dst, std::uint32_t bytes)
-    {
-        (void)dst; // latency model is symmetric; dst kept for readability
-        return {*this, bytes};
-    }
+    SendAwaiter sendTo(std::uint32_t bytes) { return {*this, bytes}; }
 
-    /** Post @p pkt for delivery to @p dst at absolute @p dtime. */
-    void sendPacket(Rnic &dst, sim::Time dtime, WirePacket &&pkt);
+    /** Send @p pkt over the wire for delivery at absolute @p dtime. */
+    void sendPacket(sim::Time dtime, WirePacket *pkt);
     void sendStart(std::uint32_t bytes, std::coroutine_handle<> h);
     void sendOccupy(std::uint32_t bytes, std::coroutine_handle<> h);
 
@@ -446,7 +441,6 @@ class Rnic : public sim::FaultTarget
     sim::Resource egress_;
 
     LruCache mttCache_;
-    LruCache qpcCache_;
 
     std::uint64_t owrNow_ = 0;
     sim::Counter wqeHits_;
@@ -498,10 +492,27 @@ class Rnic : public sim::FaultTarget
         bytePool_.push_back(std::move(v));
     }
 
+    /**
+     * Borrow a reset WirePacket for one WR; it travels request ->
+     * response -> completion and then comes back via recyclePacket().
+     * Allocates only while the pool grows.
+     */
+    WirePacket *takePacket();
+
+    /** Return @p pkt and its payload buffer to their pools. */
+    void recyclePacket(WirePacket *pkt);
+
     static constexpr std::size_t kBatchPoolCap = 64;
     static constexpr std::size_t kBytePoolCap = 256;
     std::vector<std::vector<WorkReq>> batchPool_;
     std::vector<std::vector<std::uint8_t>> bytePool_;
+    /**
+     * Every WirePacket this adapter made, owned here so that a delivery
+     * carries a plain pointer: it fits EventFn's inline budget and moves
+     * as a memcpy. Uncapped: it holds the peak number of WRs in flight.
+     */
+    std::vector<std::unique_ptr<WirePacket>> packets_;
+    std::vector<WirePacket *> packetPool_; ///< the packets not in flight
 };
 
 } // namespace smart::rnic

@@ -330,7 +330,7 @@ struct Parser
 bool
 Json::parse(const std::string &text, Json &out, std::string *error)
 {
-    Parser p{text};
+    Parser p{text, 0, {}};
     if (!p.parseValue(out, 0)) {
         if (error)
             *error = p.error;

@@ -1,6 +1,10 @@
 /**
  * @file
  * The discrete-event simulator: virtual clock, event loop, task spawning.
+ *
+ * Events come from two places: local schedule calls, which enter the
+ * event queue at once, and wire sends (wire.hpp), which park in the wire
+ * inbox as ordinary events until the clock reaches their delivery time.
  */
 
 #ifndef SMART_SIM_SIMULATOR_HPP
@@ -203,14 +207,14 @@ class Simulator
         return faultTargets_;
     }
 
-    /** In-flight wire messages (see wire.hpp). */
+    /** In-flight wire deliveries (see wire.hpp). */
     WireInbox &wireInbox() { return inbox_; }
 
   private:
     /**
      * Core loop: execute every local event and every wire delivery with
      * time <= @p deadline. The wire-inbox minimum bounds each pop because
-     * an event may send a wire message landing inside the current
+     * an event may send a wire delivery landing inside the current
      * segment; with an empty inbox (every workload that never
      * touches the wire) the extra cost is one member load + compare per
      * event.

@@ -149,15 +149,17 @@ Timeline::toJson() const
         js.set("labels", std::move(labels));
         js.set("kind", metricKindName(s.kind));
         js.set("start", static_cast<std::uint64_t>(s.start));
+        // Scalars are built in place: gcc 12 at -O2 reports the variant
+        // move inside push() as maybe-uninitialized (a false positive).
         Json points = Json::array();
         switch (s.kind) {
           case MetricKind::Counter:
             for (std::uint64_t v : s.counterPoints)
-                points.push(v);
+                points.asArray().emplace_back(v);
             break;
           case MetricKind::Gauge:
             for (double v : s.gaugePoints)
-                points.push(v);
+                points.asArray().emplace_back(v);
             break;
           case MetricKind::Histogram:
             for (const WindowSummary &w : s.histPoints) {

@@ -1,6 +1,6 @@
 /**
  * @file
- * WireEndpoint routing: the always-on checks on every wire send.
+ * WireEndpoint: source ids and the always-on check on every wire send.
  */
 
 #include "sim/wire.hpp"
@@ -12,22 +12,26 @@
 
 namespace smart::sim {
 
-void
-WireEndpoint::route(Simulator &dst, WireMsg &&m)
+WireEndpoint::WireEndpoint(Simulator &sim)
+    : sim_(sim), srcId_(sim.wireInbox().newSource())
 {
-    // Always on: WireInbox::injectUpTo hands the message to
+}
+
+void
+WireEndpoint::send(Time dtime, EventFn &&payload)
+{
+    // Always on: WireInbox::injectUpTo hands the event to
     // EventQueue::scheduleAt unclamped, so a past-dated send would run
     // behind the clock and silently reorder the simulation.
-    if (m.dtime < sim_.now() || &dst != &sim_) [[unlikely]] {
+    if (dtime < sim_.now()) [[unlikely]] {
         std::fprintf(stderr,
-                     "WireEndpoint: %s (src %u, dtime %llu, now %llu)\n",
-                     &dst != &sim_ ? "send to another Simulator"
-                                   : "delivery time is in the past",
-                     srcId_, static_cast<unsigned long long>(m.dtime),
+                     "WireEndpoint: delivery time is in the past (src %u, "
+                     "dtime %llu, now %llu)\n",
+                     srcId_, static_cast<unsigned long long>(dtime),
                      static_cast<unsigned long long>(sim_.now()));
         std::abort();
     }
-    sim_.wireInbox().push(std::move(m));
+    sim_.wireInbox().push(dtime, srcId_, seq_++, std::move(payload));
 }
 
 } // namespace smart::sim

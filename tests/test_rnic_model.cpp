@@ -313,43 +313,6 @@ TEST(RnicOps, WqeHitProbDropsAboveCapacity)
 
 // --------------------------------------------------------------- caches
 
-TEST(RandomReplaceCache, HitsWithinCapacity)
-{
-    RandomReplaceCache cache(8);
-    for (std::uint64_t k = 0; k < 8; ++k)
-        cache.insert(k);
-    for (std::uint64_t k = 0; k < 8; ++k)
-        EXPECT_TRUE(cache.lookupRemove(k));
-    EXPECT_EQ(cache.hits(), 8u);
-    EXPECT_EQ(cache.misses(), 0u);
-    EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(RandomReplaceCache, EvictsWhenOversubscribed)
-{
-    RandomReplaceCache cache(8);
-    for (std::uint64_t k = 0; k < 32; ++k)
-        cache.insert(k);
-    EXPECT_EQ(cache.size(), 8u);
-    int hits = 0;
-    for (std::uint64_t k = 0; k < 32; ++k) {
-        if (cache.lookupRemove(k))
-            ++hits;
-    }
-    EXPECT_EQ(hits, 8);
-    EXPECT_LT(cache.hitRatio(), 0.5);
-}
-
-TEST(RandomReplaceCache, DuplicateInsertIgnored)
-{
-    RandomReplaceCache cache(4);
-    cache.insert(1);
-    cache.insert(1);
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_TRUE(cache.lookupRemove(1));
-    EXPECT_FALSE(cache.lookupRemove(1));
-}
-
 TEST(LruCache, EvictsLeastRecentlyUsed)
 {
     LruCache cache(3);

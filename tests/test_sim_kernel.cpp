@@ -695,10 +695,10 @@ TEST(WireOrdering, DeliversByTimeThenSourceThenSeq)
     ASSERT_LT(a.srcId(), b.srcId());
 
     std::vector<std::string> log;
-    b.send(sim, 1000, Push{&log, "b1"});
-    a.send(sim, 1000, Push{&log, "a1"});
-    a.send(sim, 500, Push{&log, "a0"});
-    b.send(sim, 1000, Push{&log, "b2"});
+    b.send(1000, Push{&log, "b1"});
+    a.send(1000, Push{&log, "a1"});
+    a.send(500, Push{&log, "a0"});
+    b.send(1000, Push{&log, "b2"});
     sim.runUntil(2000);
 
     ASSERT_EQ(log.size(), 4u);
@@ -715,12 +715,28 @@ TEST(WireOrdering, SameSimDeliveryInterleavesWithLocalEvents)
     std::vector<std::string> log;
     sim.scheduleAt(999, [&log] { log.push_back("local999"); });
     sim.scheduleAt(1001, [&log] { log.push_back("local1001"); });
-    ep.send(sim, 1000, Push{&log, "wire1000"});
+    ep.send(1000, Push{&log, "wire1000"});
     sim.runUntil(2000);
     ASSERT_EQ(log.size(), 3u);
     EXPECT_EQ(log[0], "local999");
     EXPECT_EQ(log[1], "wire1000");
     EXPECT_EQ(log[2], "local1001");
+
+    // Same time: the delivery draws its FIFO seq when the clock reaches
+    // 1000, after every local event already queued for 1000 (A, then C,
+    // scheduled after W was sent) but before B, which A schedules there.
+    // Scheduling W directly at send time would give A, W, C, B.
+    Simulator same;
+    WireEndpoint src(same);
+    log.clear();
+    same.scheduleAt(1000, [&log, &same] {
+        log.push_back("A");
+        same.schedule(0, [&log] { log.push_back("B"); });
+    });
+    src.send(1000, Push{&log, "W"});
+    same.scheduleAt(1000, [&log] { log.push_back("C"); });
+    same.runUntil(2000);
+    EXPECT_EQ(log, (std::vector<std::string>{"A", "C", "W", "B"}));
 }
 
 namespace {
@@ -742,41 +758,38 @@ TEST(WireOrdering, TeardownReleasesInFlightPayloads)
         // Still parked in the inbox when the Simulator dies.
         Simulator sim;
         WireEndpoint ep(sim);
-        ep.send(sim, 1000, Hold{ref});
+        ep.send(1000, Hold{ref});
         sim.runUntil(500);
         EXPECT_EQ(ref.use_count(), 2);
     }
     EXPECT_EQ(ref.use_count(), 1);
     {
-        // Popped into an injected event that never runs.
+        // Parked in a bare inbox.
+        WireInbox inbox;
+        inbox.push(1000, inbox.newSource(), 0, Hold{ref});
+        EXPECT_EQ(ref.use_count(), 2);
+    }
+    EXPECT_EQ(ref.use_count(), 1);
+    {
+        // Injected into a queue that never runs it.
         EventQueue q;
         WireInbox inbox;
-        inbox.push(WireMsg::make(1000, 0, 0, Hold{ref}));
+        inbox.push(1000, inbox.newSource(), 0, Hold{ref});
         inbox.injectUpTo(1000, q);
         EXPECT_EQ(ref.use_count(), 2);
     }
     EXPECT_EQ(ref.use_count(), 1);
 }
 
-// The inbox injects unclamped, so these checks stay on in Release builds.
+// The inbox injects unclamped, so this check stays on in Release builds.
 TEST(WireOrderingDeathTest, PastDatedSendAborts)
 {
     Simulator sim;
     WireEndpoint ep(sim);
     std::vector<std::string> log;
     sim.runUntil(1000);
-    EXPECT_DEATH(ep.send(sim, 999, Push{&log, "late"}),
+    EXPECT_DEATH(ep.send(999, Push{&log, "late"}),
                  "delivery time is in the past");
-}
-
-TEST(WireOrderingDeathTest, SendToAnotherSimulatorAborts)
-{
-    Simulator sim;
-    Simulator other;
-    WireEndpoint ep(sim);
-    std::vector<std::string> log;
-    EXPECT_DEATH(ep.send(other, 10, Push{&log, "stray"}),
-                 "send to another Simulator");
 }
 
 // ------------------------------------------------------ perf introspection
