@@ -76,25 +76,18 @@ struct PacketDelivery
     void
     operator()()
     {
-        WirePacket &p = *pkt;
-        switch (p.kind) {
-        case PacketKind::Request: {
-            Rnic *r = p.responder;
-            Rnic::startDetached(r->serveRequest(pkt));
+        switch (pkt->kind) {
+        case PacketKind::Request:
+            Rnic::startDetached(pkt->responder->serveRequest(pkt));
             break;
-        }
-        case PacketKind::Response: {
-            Rnic *i = p.initiator;
-            Rnic::startDetached(i->finishOne(pkt));
+        case PacketKind::Response:
+            Rnic::startDetached(pkt->initiator->finishOne(pkt));
             break;
-        }
         case PacketKind::Nak:
-        case PacketKind::Timeout: {
-            Rnic *i = p.initiator;
-            i->completeError(p.wr, p.status);
-            i->recyclePacket(pkt);
+        case PacketKind::Timeout:
+            pkt->initiator->completeError(pkt->wr, pkt->status);
+            pkt->initiator->recyclePacket(pkt);
             break;
-        }
         }
     }
 };

@@ -55,7 +55,7 @@ class WireInbox
     void
     push(Time dtime, std::uint32_t src_id, std::uint64_t seq, EventFn &&fn)
     {
-        heap_.push_back(Item{dtime, seq, src_id, std::move(fn)});
+        heap_.push_back(Item{dtime, src_id, seq, std::move(fn)});
         std::push_heap(heap_.begin(), heap_.end(), later);
         min_ = heap_.front().dtime;
     }
@@ -82,8 +82,8 @@ class WireInbox
     struct Item
     {
         Time dtime;
-        std::uint64_t seq;
         std::uint32_t srcId;
+        std::uint64_t seq;
         EventFn fn;
     };
 
